@@ -38,11 +38,17 @@ struct HelloLinkEntry {
 
 /// Distance-vector piggyback: "my multi-hop ETX distance to `dst` is
 /// `dist`, destination-sequenced with `seq`" (see routing/linkquality/).
+/// Fields ordered for a 16-byte in-memory entry (distance vectors are held
+/// per neighbor); the on-air size is costed separately by the agent.
 struct HelloRouteEntry {
-  NodeId dst = 0;
+  HelloRouteEntry() = default;
+  HelloRouteEntry(NodeId to, double distance, std::uint32_t sequence)
+      : dist{distance}, dst{to}, seq{sequence} {}
   double dist = 0.0;
+  NodeId dst = 0;
   std::uint32_t seq = 0;
 };
+static_assert(sizeof(HelloRouteEntry) == 16);
 
 struct HelloHeader final : Header {
   static constexpr HeaderTag kTag = HeaderTag::kHello;

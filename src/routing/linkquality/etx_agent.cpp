@@ -1,8 +1,10 @@
 #include "routing/linkquality/etx_agent.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <utility>
+
+#include "core/assert.h"
 
 namespace vanet::routing {
 
@@ -38,37 +40,40 @@ void EtxAgent::attach(net::HelloService& hello) {
 std::size_t EtxAgent::fill_beacon(net::HelloHeader& h) {
   // Link reports: "I receive you with ratio r" for every live link, sorted
   // by id — each named neighbor reads its own entry back as its df.
-  const std::vector<net::NodeId> nbrs = table_.neighbors();
+  const std::vector<net::NodeId>& nbrs = table_.neighbors();
   h.links.reserve(nbrs.size());
   for (const net::NodeId n : nbrs) {
     h.links.push_back({n, table_.reverse_ratio(n)});
   }
   // Distance vector: self at distance 0 (destination-sequenced, even like
-  // DSDV's valid routes), then the current Dijkstra distances. Entries are
-  // naturally sorted: routes_ is an ordered map.
+  // DSDV's valid routes), then the current Dijkstra distances by id.
   own_seq_ += 2;
   compute_routes();
-  h.routes.reserve(routes_.size() + kills_.size() + 1);
-  h.routes.push_back({self_, 0.0, own_seq_});
-  for (const auto& [dst, route] : routes_) {
-    if (route.dist >= LinkQualityTable::kMaxEtx) continue;
+  std::sort(reached_.begin(), reached_.end());
+  h.routes.reserve(reached_.size() + active_kills_ + 1);
+  h.routes.emplace_back(self_, 0.0, own_seq_);
+  for (const net::NodeId dst : reached_) {
     // Re-advertise each destination with the freshest sequence seen for it,
-    // so the destination's clock propagates monotonically hop by hop.
-    const auto seq = dst_seqs_.find(dst);
-    h.routes.push_back(
-        {dst, route.dist, seq != dst_seqs_.end() ? seq->second : route.seq});
+    // so the destination's clock propagates monotonically hop by hop. (A
+    // route with no sequence on record is a bare measured link: seq 0.)
+    h.routes.emplace_back(dst, routes_[dst].dist, dst_seqs_[dst]);
   }
   // Fresh invalidations ride along until their dissemination budget is
   // spent; the entries stay behind as local filters either way.
-  for (auto& [dst, kill] : kills_) {
-    if (kill.beacons_left <= 0) continue;
-    --kill.beacons_left;
-    h.routes.push_back({dst, LinkQualityTable::kMaxEtx, kill.seq});
+  if (active_kills_ != 0) {
+    for (std::size_t dst = 0; dst < kills_.size(); ++dst) {
+      Kill& kill = kills_[dst];
+      if (!kill.active || kill.beacons_left <= 0) continue;
+      --kill.beacons_left;
+      h.routes.emplace_back(static_cast<net::NodeId>(dst),
+                            LinkQualityTable::kMaxEtx, kill.seq);
+    }
   }
   return kLinkEntryBytes * h.links.size() + kRouteEntryBytes * h.routes.size();
 }
 
 void EtxAgent::on_hello(const net::Packet& p, const net::HelloHeader& h) {
+  grow_to(p.origin);
   table_.on_hello(p.origin, h.seq);
   for (const auto& link : h.links) {
     if (link.neighbor == self_) {
@@ -80,112 +85,140 @@ void EtxAgent::on_hello(const net::Packet& p, const net::HelloHeader& h) {
   // one wholesale (it IS the sender's current view; merging would resurrect
   // entries the sender dropped). Entries routing back through us are kept —
   // Dijkstra's measured self->n edges dominate any n->self->... echo.
-  auto& slot = adverts_[p.origin];
-  slot.clear();
-  slot.reserve(h.routes.size());
+  // Filled into the scratch buffer (growth below may move the slots), then
+  // swapped in: the slot's old buffer becomes the next intake's scratch.
+  scratch_.clear();
   for (const auto& advert : h.routes) {
     if (advert.dst == self_) continue;
+    grow_to(advert.dst);
     if (advert.dist >= LinkQualityTable::kMaxEtx) {
       // Poisoned advert (route invalidation): adopt it when it outruns both
       // our freshest sequence for the destination and any kill we hold.
-      const auto seq = dst_seqs_.find(advert.dst);
-      const std::uint32_t known = seq != dst_seqs_.end() ? seq->second : 0;
-      auto [kill, fresh] =
-          kills_.try_emplace(advert.dst, Kill{advert.seq, kKillBeacons});
-      if (!fresh && advert.seq > kill->second.seq) {
-        kill->second = Kill{advert.seq, kKillBeacons};
+      if (adopt_kill(advert.dst, advert.seq).seq <= dst_seqs_[advert.dst]) {
+        drop_kill(advert.dst);
       }
-      if (kill->second.seq <= known) kills_.erase(kill);
       continue;
     }
-    const auto kill = kills_.find(advert.dst);
-    if (kill != kills_.end()) {
-      if (advert.seq <= kill->second.seq) continue;  // stale vs invalidation
-      kills_.erase(kill);  // the destination moved past the kill: it lives
+    const Kill& kill = kills_[advert.dst];
+    if (kill.active) {
+      if (advert.seq <= kill.seq) continue;  // stale vs invalidation
+      drop_kill(advert.dst);  // the destination moved past the kill: it lives
     }
-    auto [seq, fresh] = dst_seqs_.try_emplace(advert.dst, advert.seq);
-    if (!fresh && advert.seq > seq->second) seq->second = advert.seq;
-    slot.push_back(advert);
+    std::uint32_t& seq = dst_seqs_[advert.dst];
+    seq = std::max(seq, advert.seq);
+    scratch_.push_back(advert);
   }
+  AdvertSlot& slot = adverts_[p.origin];
+  slot.entries.swap(scratch_);
+  slot.live = true;
   routes_dirty_ = true;
 }
 
 void EtxAgent::on_neighbor_lost(net::NodeId lost) {
+  grow_to(lost);
   table_.erase(lost);
-  adverts_.erase(lost);
+  adverts_[lost].entries.clear();
+  adverts_[lost].live = false;
   // Originate a route invalidation one past the destination's freshest known
   // sequence: odd, so every stale advert for `lost` loses to it everywhere,
   // and only `lost` itself (whose own sequence is even and still advancing)
   // can override it by beaconing again.
-  const auto seq = dst_seqs_.find(lost);
-  const std::uint32_t poison =
-      (seq != dst_seqs_.end() ? seq->second : 0) + 1;
-  auto [kill, fresh] = kills_.try_emplace(lost, Kill{poison, kKillBeacons});
-  if (!fresh && poison > kill->second.seq) {
-    kill->second = Kill{poison, kKillBeacons};
-  }
+  adopt_kill(lost, dst_seqs_[lost] + 1);
   routes_dirty_ = true;
+}
+
+void EtxAgent::grow(net::NodeId id) {
+  // Ids come off received frames; the broadcast address is never a node,
+  // and growing to it would try to allocate 2^32 slots.
+  VANET_ASSERT_MSG(id != net::kBroadcastId,
+                   "etx: broadcast id named as a hello origin or destination");
+  const std::size_t size = std::size_t{id} + 1;
+  adverts_.resize(size);
+  dst_seqs_.resize(size);
+  kills_.resize(size);
+  routes_.resize(size);
+}
+
+EtxAgent::Kill& EtxAgent::adopt_kill(net::NodeId dst, std::uint32_t seq) {
+  Kill& kill = kills_[dst];
+  if (!kill.active) {
+    kill = Kill{seq, kKillBeacons, true};
+    ++active_kills_;
+  } else if (seq > kill.seq) {
+    kill.seq = seq;
+    kill.beacons_left = kKillBeacons;
+  }
+  return kill;
+}
+
+void EtxAgent::drop_kill(net::NodeId dst) {
+  kills_[dst] = Kill{};
+  --active_kills_;
 }
 
 void EtxAgent::compute_routes() const {
   if (!routes_dirty_) return;
   routes_dirty_ = false;
-  routes_.clear();
+  for (const net::NodeId id : reached_) routes_[id] = Route{};
+  reached_.clear();
 
   // Dijkstra over the two-layer topology. Ties broken by node id so the
   // settle order — and hence every first_hop choice — is deterministic.
-  using QueueEntry = std::pair<double, net::NodeId>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      frontier;
+  // Only nodes holding adverts enter the frontier: settling any other node
+  // relaxes nothing, so leaving it out changes no route. Callers check
+  // cost < kMaxEtx first, so an unreached id always relaxes.
+  constexpr std::greater<std::pair<double, net::NodeId>> later;
+  Route* const routes = routes_.data();
+  const auto relax = [this, routes, later](net::NodeId node, double cost,
+                                           net::NodeId first_hop) {
+    Route& route = routes[node];
+    if (!(cost < route.dist)) return;
+    if (route.dist >= LinkQualityTable::kMaxEtx) reached_.push_back(node);
+    route = Route{cost, first_hop};
+    if (adverts_[node].entries.empty()) return;
+    frontier_.emplace_back(cost, node);
+    std::push_heap(frontier_.begin(), frontier_.end(), later);
+  };
   for (const net::NodeId n : table_.neighbors()) {
     const double cost = table_.etx(n);
     if (cost >= LinkQualityTable::kMaxEtx) continue;
-    auto [it, fresh] = routes_.try_emplace(n);
-    if (fresh || cost < it->second.dist) {
-      it->second = Route{cost, n, 0};
-      frontier.push({cost, n});
-    }
+    relax(n, cost, n);
   }
-  while (!frontier.empty()) {
-    const auto [cost, node] = frontier.top();
-    frontier.pop();
-    const auto settled = routes_.find(node);
-    if (settled == routes_.end() || cost > settled->second.dist) continue;
-    const auto adverts = adverts_.find(node);
-    if (adverts == adverts_.end()) continue;
-    const net::NodeId first_hop = settled->second.first_hop;
-    for (const auto& advert : adverts->second) {
+  const Kill* const kills = active_kills_ != 0 ? kills_.data() : nullptr;
+  while (!frontier_.empty()) {
+    std::pop_heap(frontier_.begin(), frontier_.end(), later);
+    const auto [cost, node] = frontier_.back();
+    frontier_.pop_back();
+    if (cost > routes[node].dist) continue;
+    const net::NodeId first_hop = routes[node].first_hop;
+    for (const auto& advert : adverts_[node].entries) {
       // A kill learned after this slot was stored still applies: stale
       // entries for an invalidated destination must not open routes.
-      const auto kill = kills_.find(advert.dst);
-      if (kill != kills_.end() && advert.seq <= kill->second.seq) continue;
+      if (kills != nullptr && kills[advert.dst].active &&
+          advert.seq <= kills[advert.dst].seq) {
+        continue;
+      }
       const double total = cost + advert.dist;
       if (total >= LinkQualityTable::kMaxEtx) continue;
-      auto [it, fresh] = routes_.try_emplace(advert.dst);
-      if (fresh || total < it->second.dist) {
-        it->second = Route{total, first_hop, advert.seq};
-        frontier.push({total, advert.dst});
-      }
+      relax(advert.dst, total, first_hop);
     }
   }
 }
 
 std::optional<net::NodeId> EtxAgent::next_hop(net::NodeId dst) const {
   compute_routes();
-  const auto it = routes_.find(dst);
-  if (it == routes_.end() || it->second.dist >= LinkQualityTable::kMaxEtx) {
+  if (dst >= routes_.size() ||
+      routes_[dst].dist >= LinkQualityTable::kMaxEtx) {
     return std::nullopt;
   }
-  return it->second.first_hop;
+  return routes_[dst].first_hop;
 }
 
 double EtxAgent::distance_to(net::NodeId dst) const {
   if (dst == self_) return 0.0;
   compute_routes();
-  const auto it = routes_.find(dst);
-  if (it == routes_.end()) return LinkQualityTable::kMaxEtx;
-  return std::min(it->second.dist, LinkQualityTable::kMaxEtx);
+  if (dst >= routes_.size()) return LinkQualityTable::kMaxEtx;
+  return std::min(routes_[dst].dist, LinkQualityTable::kMaxEtx);
 }
 
 }  // namespace vanet::routing

@@ -14,8 +14,14 @@ LinkQualityTable::LinkQualityTable(EtxConfig cfg) : cfg_{cfg} {
                    "etx.hello_weight must be in (0, 1]");
 }
 
+LinkQualityTable::Link& LinkQualityTable::link_for(net::NodeId from) {
+  const auto [it, fresh] = links_.try_emplace(from);
+  if (fresh) ids_.insert(std::lower_bound(ids_.begin(), ids_.end(), from), from);
+  return it->second;
+}
+
 void LinkQualityTable::on_hello(net::NodeId from, std::uint32_t seq) {
-  Link& link = links_[from];
+  Link& link = link_for(from);
   if (link.heard == 0) {
     link.window_bits = 1;
     // First contact anchors the ratio baseline: beacons the neighbor sent
@@ -43,12 +49,15 @@ void LinkQualityTable::on_hello(net::NodeId from, std::uint32_t seq) {
 }
 
 void LinkQualityTable::on_report(net::NodeId from, double ratio) {
-  Link& link = links_[from];
+  Link& link = link_for(from);
   link.reported = std::clamp(ratio, 0.0, 1.0);
   link.has_report = true;
 }
 
-void LinkQualityTable::erase(net::NodeId neighbor) { links_.erase(neighbor); }
+void LinkQualityTable::erase(net::NodeId neighbor) {
+  if (links_.erase(neighbor) == 0) return;
+  ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), neighbor));
+}
 
 double LinkQualityTable::windowed_ratio(const Link& link) const {
   // The denominator ramps 1, 2, ... from first contact until the window
@@ -94,15 +103,6 @@ double LinkQualityTable::long_run_ratio(net::NodeId neighbor) const {
   const auto sent =
       static_cast<double>(it->second.last_seq - it->second.first_seq) + 1.0;
   return std::min(1.0, static_cast<double>(it->second.heard) / sent);
-}
-
-std::vector<net::NodeId> LinkQualityTable::neighbors() const {
-  std::vector<net::NodeId> out;
-  out.reserve(links_.size());
-  // NOLINT-vanet(unordered-iter): order cannot escape — sorted by id below
-  for (const auto& [id, link] : links_) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace vanet::routing

@@ -69,8 +69,9 @@ class LinkQualityTable {
 
   bool contains(net::NodeId neighbor) const { return links_.contains(neighbor); }
   std::size_t size() const { return links_.size(); }
-  /// Live link neighbors, sorted by id (deterministic iteration).
-  std::vector<net::NodeId> neighbors() const;
+  /// Live link neighbors, sorted by id (deterministic iteration). Kept up to
+  /// date on insert and erase; valid until the next on_hello/on_report/erase.
+  const std::vector<net::NodeId>& neighbors() const { return ids_; }
 
   const EtxConfig& config() const { return cfg_; }
 
@@ -89,8 +90,11 @@ class LinkQualityTable {
   };
 
   double windowed_ratio(const Link& link) const;
+  /// The link with `from`, created (and its id filed in ids_) on first use.
+  Link& link_for(net::NodeId from);
 
   std::unordered_map<net::NodeId, Link> links_;
+  std::vector<net::NodeId> ids_;  ///< keys of links_, sorted
   EtxConfig cfg_;
 };
 
