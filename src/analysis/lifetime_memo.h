@@ -21,10 +21,10 @@
 //    are approximations: results CHANGE, so this mode is opt-in and pinned
 //    by its own golden digest row (town-gvgrid-interp).
 //
-// Ownership: one instance per Scenario, shared by every per-node protocol
-// instance of that scenario (plumbed via ProtocolContext). Scenarios are
-// single-threaded, so the memo is deliberately unsynchronized; the
-// ExperimentEngine's parallelism is across scenarios, each with its own
+// Ownership: one instance per protocol stack (sim::NodeStack), shared by
+// every per-node protocol instance of that stack (via ProtocolContext). A
+// stack runs on one thread, so the memo is deliberately unsynchronized;
+// parallelism is across scenarios and shards, each stack with its own
 // memo. Entries live for the scenario's lifetime (speed parameters are
 // per-run constants and positions quantize to mobility ticks, so the
 // working set is bounded by distinct link geometries per run — a few MB at

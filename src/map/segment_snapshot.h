@@ -21,9 +21,9 @@
 // the same as everywhere else in the repo: a non-negative prover answer MUST
 // equal nearest_segment(pos).
 //
-// Ownership: one instance per Scenario (like the lifetime memo),
-// single-threaded by the scenario's threading contract, shared across that
-// scenario's protocol instances via ProtocolContext. Do NOT feed it
+// Ownership: one per event loop (the sim::World's, shared with the serial
+// stack, or a shard stack's own), so one thread uses it, shared across that
+// loop's protocol instances via ProtocolContext. Do NOT feed it
 // extrapolated positions (e.g. HelloNeighbor::predicted_pos between ticks):
 // those are not "the node's current position" and would poison the entry —
 // callers with extrapolated geometry keep querying the index directly.

@@ -90,7 +90,7 @@ struct ProtocolContext {
   // Scenario-owned caches (null in bare harnesses — protocols fall back to
   // direct computation; cached and uncached paths are bit-identical, see
   // docs/ARCHITECTURE.md "Scenario-owned caches"). Mutable shared state, but
-  // scenarios are single-threaded so no synchronisation is needed.
+  // each is used by one event loop only, so no synchronisation is needed.
   analysis::LifetimeMemo* lifetime_memo = nullptr;
   map::SegmentSnapshot* seg_snapshot = nullptr;
 };

@@ -24,7 +24,9 @@
 #include "routing/registry.h"
 #include "sim/fault_plan.h"
 #include "sim/metrics.h"
+#include "sim/node_stack.h"
 #include "sim/traffic.h"
+#include "sim/world.h"
 
 namespace vanet::sim {
 
@@ -212,17 +214,9 @@ class ShardedScenario;
 /// (auto) resolving to the hardware thread count capped at 8. Always >= 1.
 int resolve_shard_count(const ScenarioConfig& cfg);
 
-/// Build helpers shared by the serial Scenario and the sharded engine, so
-/// both paths assemble identical components from the same config + seed.
+/// The road topology `cfg` describes: the imported edge-list map, or the
+/// generated lattice / highway line the synthetic mobility models drive on.
 std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg);
-std::unique_ptr<mobility::MobilityModel> make_mobility_model(
-    const ScenarioConfig& cfg, const std::shared_ptr<map::RoadGraph>& graph,
-    core::RngManager& rngs, mobility::GraphMobilityModel** graph_model_out);
-std::unique_ptr<net::PropagationModel> make_propagation(
-    const ScenarioConfig& cfg);
-void validate_trace_against_map(const ScenarioConfig& cfg,
-                                const map::RoadGraph& graph,
-                                const map::SegmentIndex& index);
 /// Assemble the protocol-independent report core from (possibly merged)
 /// collectors. The serial report() adds the fault block on top; sharded runs
 /// never have one (faults are excluded by the shard restrictions).
@@ -233,6 +227,11 @@ ScenarioReport assemble_report(const ScenarioConfig& cfg,
                                std::uint64_t reachable_samples,
                                std::uint64_t total_samples);
 
+/// One run. Both engines assemble it the same way: a World (map, mobility,
+/// density, reachability) on the scenario's Simulator, plus NodeStacks —
+/// one over every node on that Simulator (serial engine), or one per shard
+/// on the shards' own loops with the scenario's Simulator as coordinator
+/// (sharded engine, effective shards > 1).
 class Scenario {
  public:
   explicit Scenario(ScenarioConfig cfg);
@@ -261,82 +260,53 @@ class Scenario {
   sharded::ShardedScenario* sharded_engine() { return sharded_engine_.get(); }
 
   // Component access for tests and benches. simulator() is the coordinator
-  // loop on sharded runs; the others are serial-path only.
-  core::Simulator& simulator();
-  net::Network& network();
-  mobility::MobilityManager& mobility();
-  net::HelloService* hello() { return hello_.get(); }
-  Metrics& metrics();
-  routing::ProtocolEvents& events();
+  // loop on sharded runs; network(), metrics(), events() and protocol_at()
+  // are serial-path only.
+  core::Simulator& simulator() { return sim_; }
+  net::Network& network() { return serial_stack().network(); }
+  mobility::MobilityManager& mobility() { return world_->mobility(); }
+  /// Null for hello-less protocols and on sharded runs.
+  net::HelloService* hello() { return stack_ ? stack_->hello() : nullptr; }
+  Metrics& metrics() { return serial_stack().metrics(); }
+  routing::ProtocolEvents& events() { return serial_stack().events(); }
   routing::RoutingProtocol& protocol_at(net::NodeId id) {
-    return *protocols_.at(id);
+    return serial_stack().protocol_at(id);
   }
-  const CbrTraffic& traffic() const { return *traffic_; }
-  const ScenarioConfig& config() const { return cfg_; }
+  /// The flows of the run: every shard draws the identical list, so sharded
+  /// runs answer with shard 0's.
+  const CbrTraffic& traffic() const;
   /// Null unless `fault.enabled=true`.
   FaultPlan* fault_plan() { return fault_plan_.get(); }
   /// Null unless the scenario uses graph mobility.
-  mobility::GraphMobilityModel* graph_model() { return graph_model_; }
-  std::size_t vehicle_count() const;
+  mobility::GraphMobilityModel* graph_model() { return world_->graph_model(); }
+  std::size_t vehicle_count() const { return world_->vehicle_count(); }
   /// The shared road topology (mobility + routing both reference it).
-  const map::RoadGraph& road_graph() const;
+  const map::RoadGraph& road_graph() const { return *world_->road_graph(); }
   /// Scenario-owned caches (see docs/ARCHITECTURE.md, "Scenario-owned
-  /// caches"); the memo is null when `lifetime.memo=false` and
-  /// `lifetime.interp=false`.
+  /// caches"). The memo is the serial stack's (null when `lifetime.memo=false`
+  /// and `lifetime.interp=false`, and on sharded runs, whose shards keep
+  /// their own); the snapshot is the World's, which the serial stack shares.
   const analysis::LifetimeMemo* lifetime_memo() const {
-    return lifetime_memo_.get();
+    return stack_ ? stack_->lifetime_memo() : nullptr;
   }
   const map::SegmentSnapshot* segment_snapshot() const {
-    return seg_snapshot_.get();
+    return &world_->segment_snapshot();
   }
 
  private:
-  void build_map();
-  void build_mobility();
-  void build_network();
-  void build_support();
-  void build_protocols();
-  void build_traffic();
-  void build_faults();
-  void update_density();
-  void schedule_density_updates();
-  void sample_reachability();
-
   ScenarioConfig cfg_;
   core::Simulator sim_;
   core::RngManager rngs_;
-  std::unique_ptr<mobility::MobilityManager> mobility_;
-  std::unique_ptr<net::Network> net_;
-  std::unique_ptr<net::HelloService> hello_;
-  std::vector<std::unique_ptr<routing::RoutingProtocol>> protocols_;
-  routing::ProtocolEvents events_;
-  Metrics metrics_;
-  std::unique_ptr<CbrTraffic> traffic_;
+  std::unique_ptr<World> world_;
+  /// Serial engine only: the one stack over every node, and the fault plan.
+  std::unique_ptr<NodeStack> stack_;
   std::unique_ptr<FaultPlan> fault_plan_;
-  /// Borrowed view of the mobility model when it is graph-based (the manager
-  /// owns it); the fault plan drives segment blocks through it.
-  mobility::GraphMobilityModel* graph_model_ = nullptr;
-  std::size_t vehicle_count_ = 0;
-
-  std::shared_ptr<map::RoadGraph> road_graph_;
-  std::unique_ptr<map::SegmentIndex> segment_index_;
-  // Scenario-owned caches, shared (non-owning) with every protocol instance
-  // via ProtocolContext. Both serve bit-identical values to the uncached
-  // queries they stand in for (the interp memo mode excepted, by opt-in).
-  std::unique_ptr<analysis::LifetimeMemo> lifetime_memo_;
-  std::unique_ptr<map::SegmentSnapshot> seg_snapshot_;
-  std::shared_ptr<map::SegmentDensityOracle> density_;
-  /// Segments whose interiors cannot prove nearest-segment identity; only
-  /// populated when the incremental density path is active (graph mobility).
-  std::vector<bool> segment_ambiguous_;
-  bool incremental_density_ = false;
-  std::shared_ptr<routing::FerrySet> ferries_;
-  std::uint64_t reachable_samples_ = 0;
-  std::uint64_t total_samples_ = 0;
-  bool ran_ = false;
-  /// Non-null iff the effective shard count is > 1: the whole run lives in
-  /// the sharded engine and every serial member above it stays unbuilt.
+  /// Non-null iff the effective shard count is > 1.
   std::unique_ptr<sharded::ShardedScenario> sharded_engine_;
+  bool ran_ = false;
+
+  /// The serial engine's stack; asserts on sharded runs.
+  NodeStack& serial_stack();
 };
 
 }  // namespace vanet::sim

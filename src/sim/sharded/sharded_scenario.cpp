@@ -1,11 +1,11 @@
 #include "sim/sharded/sharded_scenario.h"
 
 #include <algorithm>
+#include <barrier>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
-
-#include "core/assert.h"
 
 namespace vanet::sim::sharded {
 
@@ -49,30 +49,13 @@ void add_counters(net::NetCounters& into, const net::NetCounters& from) {
 
 }  // namespace
 
-/// All per-shard state. Each shard is a complete single-threaded simulation
-/// of the whole network restricted to the nodes it owns: its Network mirrors
-/// every vehicle's position (the shared MobilityManager refreshes all K
-/// mirrors during the serial coordinator phase), but MAC activity, protocol
-/// instances, hello beacons and traffic sources exist only for owned nodes.
-/// The RngManager is seeded with the scenario seed on every shard, so
-/// streams with unsuffixed names ("traffic") draw identically everywhere
-/// while ".shardN"-suffixed streams are decorrelated per shard.
+/// All per-shard state: a loop of its own and a NodeStack over the owned
+/// nodes. The stack's Network mirrors every vehicle's position (the shared
+/// MobilityManager refreshes all K mirrors in the coordinator phase).
 struct ShardedScenario::Shard {
-  explicit Shard(std::uint64_t seed) : rngs{seed} {}
-
   core::Simulator sim;
-  core::RngManager rngs;
   std::unique_ptr<Bridge> bridge;
-  std::unique_ptr<net::Network> net;
-  std::unique_ptr<net::HelloService> hello;  ///< null for hello-less protocols
-  /// Indexed by node id; only owned slots are constructed.
-  std::vector<std::unique_ptr<routing::RoutingProtocol>> protocols;
-  routing::ProtocolEvents events;
-  Metrics metrics;
-  std::unique_ptr<CbrTraffic> traffic;
-  std::unique_ptr<analysis::LifetimeMemo> memo;
-  std::unique_ptr<map::SegmentSnapshot> snapshot;
-  std::vector<net::NodeId> owned;
+  std::unique_ptr<NodeStack> stack;
   /// Handoffs addressed to this shard, filled by the coordinator between
   /// windows and drained at the start of run_shard_window.
   std::vector<Handoff> inbox;
@@ -121,226 +104,77 @@ class ShardedScenario::Bridge final : public net::ShardBridge {
   int shard_;
 };
 
-ShardedScenario::ShardedScenario(const ScenarioConfig& cfg)
-    : cfg_{cfg}, coord_rngs_{cfg_.seed} {
-  validate_config();
-  road_graph_ = build_road_graph(cfg_);
-  segment_index_ = std::make_unique<map::SegmentIndex>(*road_graph_);
-  if (cfg_.mobility == MobilityKind::kTrace &&
-      cfg_.map.source == MapSource::kFile) {
-    validate_trace_against_map(cfg_, *road_graph_, *segment_index_);
-  }
-  partition_ = map::partition_regions(*road_graph_, resolve_shard_count(cfg_));
-  std::unique_ptr<mobility::MobilityModel> model =
-      make_mobility_model(cfg_, road_graph_, coord_rngs_, &graph_model_);
-  vehicle_count_ = model->vehicles().size();
-  VANET_ASSERT_MSG(vehicle_count_ >= 2, "scenario needs at least two vehicles");
-  // Static ownership: the region of the segment nearest each vehicle's
-  // *initial* position owns its node for the whole run. Vehicles that drive
-  // into another region keep their home shard — correctness never depends on
-  // ownership matching current geometry, only locality does.
-  node_shard_.resize(vehicle_count_);
-  const auto& initial = model->vehicles();
-  for (std::size_t v = 0; v < vehicle_count_; ++v) {
-    const int seg = segment_index_->nearest_segment(initial[v].pos);
-    node_shard_[v] = partition_.segment_region[static_cast<std::size_t>(seg)];
-  }
-  mobility_ = std::make_unique<mobility::MobilityManager>(
-      coord_sim_, std::move(model), coord_rngs_.stream("mobility"),
-      core::SimTime::seconds(cfg_.mobility_tick_s));
-  const int k = partition_.regions;
-  threads_ = cfg_.shard_threads == 0 ? k : std::min(cfg_.shard_threads, k);
-  // Ferry designation and the density oracle are global, exactly as in the
-  // serial engine; shards read them, only the coordinator writes.
-  ferries_ = std::make_shared<routing::FerrySet>();
-  if (cfg_.bus_count > 0) {
-    const std::size_t stride =
-        std::max<std::size_t>(1, vehicle_count_ / cfg_.bus_count);
-    for (std::size_t b = 0; b < static_cast<std::size_t>(cfg_.bus_count) &&
-                            b * stride < vehicle_count_;
-         ++b) {
-      ferries_->insert(static_cast<net::NodeId>(b * stride));
-    }
-  }
-  density_ =
-      std::make_shared<map::SegmentDensityOracle>(road_graph_->segment_count());
-  outbox_.assign(static_cast<std::size_t>(k),
-                 std::vector<std::vector<Handoff>>(static_cast<std::size_t>(k)));
-  shards_.reserve(static_cast<std::size_t>(k));
-  for (int s = 0; s < k; ++s) {
-    shards_.push_back(std::make_unique<Shard>(cfg_.seed));
-    build_shard(s);
-  }
-  schedule_density_updates();
-}
-
-ShardedScenario::~ShardedScenario() = default;
-
-void ShardedScenario::validate_config() const {
-  if (cfg_.phy != PhyModel::kUnitDisk) {
+void ShardedScenario::validate_config(const ScenarioConfig& cfg) {
+  if (cfg.phy != PhyModel::kUnitDisk) {
     throw std::invalid_argument(
         "scenario.shards > 1 requires phy.model=unitdisk: lossy models draw "
         "per-reception fades from the sender's RNG, and a cross-shard "
         "reception would consume them out of stream order");
   }
-  if (cfg_.rsu_count > 0) {
+  if (cfg.rsu_count > 0) {
     throw std::invalid_argument(
         "scenario.shards > 1 does not support RSUs (the wired backbone "
         "bypasses the region handoff contract)");
   }
-  if (cfg_.fault.enabled) {
+  if (cfg.fault.enabled) {
     throw std::invalid_argument(
         "scenario.shards > 1 does not support fault injection");
   }
-  if (!(cfg_.shard_window_ms > 0.0) || cfg_.shard_window_ms > 20.0) {
+  if (!(cfg.shard_window_ms > 0.0) || cfg.shard_window_ms > 20.0) {
     throw std::invalid_argument(
         "scenario.shard_window_ms must be in (0, 20] — the conservative "
         "window has to stay far below the MAC's 50 ms channel-memory "
         "horizon");
   }
-  if (core::SimTime::seconds(cfg_.shard_window_ms / 1000.0) <=
+  if (core::SimTime::seconds(cfg.shard_window_ms / 1000.0) <=
       core::SimTime{}) {
     throw std::invalid_argument(
         "scenario.shard_window_ms rounds to zero simulated time");
   }
-  if (cfg_.shard_threads < 0) {
+  if (cfg.shard_threads < 0) {
     throw std::invalid_argument("scenario.shard_threads must be >= 0");
   }
 }
 
-void ShardedScenario::build_shard(int index) {
-  Shard& sh = *shards_[static_cast<std::size_t>(index)];
-  const std::string suffix = ".shard" + std::to_string(index);
-  sh.net = std::make_unique<net::Network>(sh.sim, mobility_.get(),
-                                          make_propagation(cfg_),
-                                          sh.rngs.stream("net" + suffix),
-                                          cfg_.net);
-  for (std::size_t v = 0; v < vehicle_count_; ++v) {
-    sh.net->add_vehicle_node(static_cast<mobility::VehicleId>(v));
+ShardedScenario::ShardedScenario(const ScenarioConfig& cfg, World& world)
+    : cfg_{cfg}, world_{world} {
+  partition_ =
+      map::partition_regions(*world_.road_graph(), resolve_shard_count(cfg_));
+  // Static ownership: the region of the segment nearest each vehicle's
+  // *initial* position owns its node for the whole run. Vehicles that drive
+  // into another region keep their home shard — correctness never depends on
+  // ownership matching current geometry, only locality does.
+  const auto& initial = world_.mobility().vehicles();
+  node_shard_.resize(world_.vehicle_count());
+  for (std::size_t v = 0; v < node_shard_.size(); ++v) {
+    const int seg = world_.segment_index().nearest_segment(initial[v].pos);
+    node_shard_[v] = partition_.segment_region[static_cast<std::size_t>(seg)];
   }
-  sh.bridge = std::make_unique<Bridge>(*this, index);
-  sh.net->set_shard_bridge(sh.bridge.get());
-  for (std::size_t v = 0; v < vehicle_count_; ++v) {
-    if (node_shard_[v] == index) {
-      sh.owned.push_back(static_cast<net::NodeId>(v));
-    }
+  const int k = partition_.regions;
+  threads_ = cfg_.shard_threads == 0 ? k : std::min(cfg_.shard_threads, k);
+  outbox_.assign(static_cast<std::size_t>(k),
+                 std::vector<std::vector<Handoff>>(static_cast<std::size_t>(k)));
+  shards_.reserve(static_cast<std::size_t>(k));
+  for (int s = 0; s < k; ++s) {
+    auto& sh = *shards_.emplace_back(std::make_unique<Shard>());
+    sh.bridge = std::make_unique<Bridge>(*this, s);
+    NodeStack::Options opts;
+    opts.stream_suffix = ".shard" + std::to_string(s);
+    opts.bridge = sh.bridge.get();
+    opts.owns = [this, s](net::NodeId id) { return owner_of(id) == s; };
+    sh.stack =
+        std::make_unique<NodeStack>(cfg_, world_, sh.sim, std::move(opts));
   }
-  // Same cache selection as the serial build_support, but per shard: caches
-  // are mutable and shards run concurrently, so nothing cached is shared.
-  // No snapshot prover either — its index fallback answers bit-identically.
-  if (cfg_.lifetime_interp) {
-    sh.memo = std::make_unique<analysis::LifetimeMemo>(
-        analysis::LifetimeMemo::Mode::kInterp);
-  } else if (cfg_.lifetime_memo) {
-    sh.memo = std::make_unique<analysis::LifetimeMemo>();
-  }
-  sh.snapshot = std::make_unique<map::SegmentSnapshot>(*segment_index_);
-
-  routing::ProtocolDeps deps;
-  deps.signal = cfg_.signal;
-  deps.road_graph = road_graph_;
-  deps.density = density_;
-  deps.ferries = ferries_;
-  deps.yan_tickets = cfg_.yan_tickets;
-  deps.zone_geometry = cfg_.zone_geometry;
-  deps.grid_geometry = cfg_.grid_geometry;
-  deps.gvgrid_geometry = cfg_.gvgrid_geometry;
-  deps.etx = cfg_.etx;
-  deps.flood_suppression = cfg_.flood_suppression;
-  sh.protocols.resize(vehicle_count_);
-  for (net::NodeId id : sh.owned) {
-    sh.protocols[id] = routing::ProtocolRegistry::make(cfg_.protocol, deps);
-  }
-  const bool wants_hello =
-      !sh.owned.empty() && sh.protocols[sh.owned.front()]->wants_hello();
-  if (wants_hello) {
-    sh.hello = std::make_unique<net::HelloService>(
-        *sh.net, sh.rngs.stream("hello" + suffix), cfg_.hello);
-  }
-  for (net::NodeId id : sh.owned) {
-    routing::ProtocolContext ctx;
-    ctx.sim = &sh.sim;
-    ctx.net = sh.net.get();
-    ctx.hello = sh.hello.get();
-    ctx.rng = &sh.rngs.stream("proto" + suffix);
-    ctx.events = &sh.events;
-    ctx.self = id;
-    ctx.map = road_graph_.get();
-    ctx.segments = segment_index_.get();
-    ctx.lifetime_memo = sh.memo.get();
-    ctx.seg_snapshot = sh.snapshot.get();
-    sh.protocols[id]->bind(ctx);
-
-    sh.net->set_receive_handler(id, [&sh, id](const net::Packet& p) {
-      if (p.kind == net::PacketKind::kHello) {
-        if (sh.hello) sh.hello->on_frame(id, p);
-        return;
-      }
-      sh.protocols[id]->handle_frame(p);
-    });
-    sh.net->set_unicast_fail_handler(id, [&sh, id](const net::Packet& p) {
-      sh.protocols[id]->handle_unicast_failure(p);
-    });
-    sh.protocols[id]->set_deliver_callback([&sh](const net::Packet& p) {
-      sh.metrics.record_delivery(p.flow, p.seq, p.created_at, sh.sim.now(),
-                                 p.hops);
-    });
-  }
-  std::vector<routing::RoutingProtocol*> raw;
-  raw.reserve(sh.protocols.size());
-  for (auto& p : sh.protocols) raw.push_back(p.get());
-  // The "traffic" stream is deliberately NOT suffixed: every shard draws the
-  // identical flow list (endpoints + staggers) and reserves the identical
-  // sequence blocks; the source filter then schedules only owned flows.
-  sh.traffic = std::make_unique<CbrTraffic>(sh.sim, *sh.net, std::move(raw),
-                                            vehicle_count_, sh.metrics,
-                                            sh.rngs.stream("traffic"),
-                                            cfg_.traffic);
-  sh.traffic->set_source_filter(
-      [this, index](net::NodeId id) { return owner_of(id) == index; });
 }
+
+ShardedScenario::~ShardedScenario() = default;
 
 const std::vector<net::NodeId>& ShardedScenario::owned_ids(int shard) const {
-  return shards_.at(static_cast<std::size_t>(shard))->owned;
+  return stack(shard).owned();
 }
 
-void ShardedScenario::update_density() {
-  // Always the full index rescan (serial `density.incremental=false` path):
-  // the incremental prover leans on per-model tick bookkeeping that is not
-  // worth sharing across K mirrors, and the rescan runs in the serial
-  // coordinator phase where it cannot race anything.
-  std::vector<double> counts(road_graph_->segment_count(), 0.0);
-  for (const auto& v : mobility_->vehicles()) {
-    const int seg = segment_index_->nearest_segment(v.pos);
-    counts[static_cast<std::size_t>(seg)] += 1.0;
-  }
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    density_->set_count(static_cast<int>(s), counts[s]);
-  }
-}
-
-void ShardedScenario::schedule_density_updates() {
-  update_density();
-  coord_sim_.schedule(core::SimTime::seconds(1.0),
-                      [this] { schedule_density_updates(); });
-}
-
-void ShardedScenario::sample_reachability() {
-  // Geometry is identical on every shard's Network mirror; shard 0's flow
-  // list is identical to every other shard's (same "traffic" stream), so
-  // sampling through shard 0 reproduces the serial oracle.
-  const auto& flows = shards_.front()->traffic->flows();
-  if (!flows.empty()) {
-    net::Network& net = *shards_.front()->net;
-    const std::vector<std::uint32_t> labels =
-        net.reachability_components(net.nominal_range());
-    for (const auto& flow : flows) {
-      ++total_samples_;
-      if (labels[flow.src] == labels[flow.dst]) ++reachable_samples_;
-    }
-  }
-  coord_sim_.schedule(core::SimTime::seconds(1.0),
-                      [this] { sample_reachability(); });
+const NodeStack& ShardedScenario::stack(int shard) const {
+  return *shards_.at(static_cast<std::size_t>(shard))->stack;
 }
 
 void ShardedScenario::distribute_mailboxes() {
@@ -364,11 +198,12 @@ void ShardedScenario::run_shard_window(int shard) {
   // window-start barrier (run_before advanced it even through empty
   // windows), so resolution timestamps are a pure function of the window
   // grid — not of which worker thread got here first.
+  net::Network& net = sh.stack->network();
   for (Handoff& h : sh.inbox) {
     if (h.is_verdict) {
-      sh.net->complete_unicast(h.node, h.delivered);
+      net.complete_unicast(h.node, h.delivered);
     } else {
-      sh.net->deliver_foreign(h.tx, h.packet, h.node, h.want_verdict);
+      net.deliver_foreign(h.tx, h.packet, h.node, h.want_verdict);
     }
   }
   sh.inbox.clear();
@@ -382,19 +217,12 @@ void ShardedScenario::run_shard_window(int shard) {
 }
 
 void ShardedScenario::run() {
-  if (ran_) return;
-  ran_ = true;
-  mobility_->start();
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    if (sh.hello) sh.hello->start(sh.owned);
-    for (net::NodeId id : sh.owned) sh.protocols[id]->start();
-    sh.traffic->start();
-  }
-  if (cfg_.sample_reachability) {
-    coord_sim_.schedule(core::SimTime::seconds(cfg_.traffic.start_s),
-                        [this] { sample_reachability(); });
-  }
+  world_.mobility().start();
+  for (auto& shp : shards_) shp->stack->start();
+  // Geometry is identical on every shard's Network mirror, and shard 0's
+  // flow list is every shard's (same "traffic" stream), so sampling through
+  // shard 0 reproduces the serial oracle.
+  world_.start_reachability(*shards_.front()->stack);
   const core::SimTime end = core::SimTime::seconds(cfg_.duration_s);
   const core::SimTime window =
       core::SimTime::seconds(cfg_.shard_window_ms / 1000.0);
@@ -417,16 +245,17 @@ void ShardedScenario::run() {
     });
   }
 
+  core::Simulator& coord = world_.simulator();
   core::SimTime now{};
   while (true) {
     // Serial coordinator phase: mobility ticks (which refresh every shard's
     // position mirror through the Network tick listeners), density refresh
     // and reachability samples all run while the workers are parked.
-    coord_sim_.run_until(now);
+    coord.run_until(now);
     // Conservative window edge: never past the next coordinator event, so
     // global state is frozen from every shard's point of view inside a
     // window — the core lookahead argument.
-    core::SimTime next = std::min(now + window, coord_sim_.next_event_time());
+    core::SimTime next = std::min(now + window, coord.next_event_time());
     next = std::min(next, end);
     window_end_ = next;
     final_window_ = next >= end;
@@ -441,7 +270,7 @@ void ShardedScenario::run() {
   for (std::thread& w : workers) w.join();
   // Coordinator events at exactly the end instant (final mobility tick on
   // round durations) still run, as they would under the serial engine.
-  coord_sim_.run_until(end);
+  coord.run_until(end);
 }
 
 ScenarioReport ShardedScenario::report() const {
@@ -451,22 +280,22 @@ ScenarioReport ShardedScenario::report() const {
   // Shard order 0..K-1 is fixed, so merged RunningStats (order-sensitive in
   // floating point) are as deterministic as everything else.
   for (const auto& shp : shards_) {
-    merged.merge_from(shp->metrics);
-    add_counters(counters, shp->net->counters());
-    merge_events(events, shp->events);
+    merged.merge_from(shp->stack->metrics());
+    add_counters(counters, shp->stack->network().counters());
+    merge_events(events, shp->stack->events());
   }
-  return assemble_report(cfg_, merged, counters, events, reachable_samples_,
-                         total_samples_);
+  return assemble_report(cfg_, merged, counters, events,
+                         world_.reachable_samples(), world_.total_samples());
 }
 
 std::uint64_t ShardedScenario::events_dispatched() const {
-  std::uint64_t total = coord_sim_.events_dispatched();
+  std::uint64_t total = world_.simulator().events_dispatched();
   for (const auto& shp : shards_) total += shp->sim.events_dispatched();
   return total;
 }
 
 core::EventQueue::AllocStats ShardedScenario::scheduler_stats() const {
-  core::EventQueue::AllocStats total = coord_sim_.scheduler_stats();
+  core::EventQueue::AllocStats total = world_.simulator().scheduler_stats();
   for (const auto& shp : shards_) {
     const core::EventQueue::AllocStats& s = shp->sim.scheduler_stats();
     total.slab_allocations += s.slab_allocations;

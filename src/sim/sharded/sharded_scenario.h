@@ -2,8 +2,8 @@
 //
 // The serial Scenario runs every event of a run through one Simulator. This
 // engine partitions the road graph into K contiguous regions
-// (map::partition_regions), gives each region its own Simulator + Network +
-// protocol instances + traffic source, and advances the shards in lockstep
+// (map::partition_regions), gives each region its own Simulator and a
+// NodeStack over the nodes it owns, and advances the shards in lockstep
 // windows of `scenario.shard_window_ms` under a conservative-lookahead
 // contract:
 //
@@ -18,7 +18,8 @@
 //    through net::ShardBridge into per-(src,dst) mailboxes and resolved by
 //    the receiver's shard at the next barrier — at most W late. W must stay
 //    far below the MAC's 50 ms channel-memory horizon (enforced: W <= 20 ms).
-//  - The coordinator loop owns global services (mobility ticks, the density
+//  - The coordinator loop — the Scenario's Simulator, which the World
+//    schedules on — owns global services (mobility ticks, the density
 //    oracle refresh, reachability sampling) and only runs between windows;
 //    window edges always land exactly on coordinator event times, so
 //    position updates happen at the same simulated instants as serially.
@@ -34,26 +35,16 @@
 // the documented deviations from the serial MAC at region cuts.
 #pragma once
 
-#include <barrier>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "analysis/lifetime_memo.h"
-#include "core/rng.h"
 #include "core/simulator.h"
 #include "map/region_partition.h"
-#include "map/segment_index.h"
-#include "map/segment_snapshot.h"
-#include "mobility/mobility_manager.h"
-#include "net/hello.h"
-#include "net/network.h"
 #include "net/shard_bridge.h"
-#include "routing/registry.h"
-#include "sim/metrics.h"
+#include "sim/node_stack.h"
 #include "sim/scenario.h"
-#include "sim/traffic.h"
+#include "sim/world.h"
 
 namespace vanet::sim::sharded {
 
@@ -71,32 +62,31 @@ struct Handoff {
 
 class ShardedScenario {
  public:
-  /// Builds the K-shard model for `cfg` (effective K from
-  /// resolve_shard_count, clamped by the partitioner to the segment count).
   /// Throws std::invalid_argument on configs outside the shard contract.
-  explicit ShardedScenario(const ScenarioConfig& cfg);
+  static void validate_config(const ScenarioConfig& cfg);
+
+  /// Builds the K-shard model for `cfg` over `world` (effective K from
+  /// resolve_shard_count, clamped by the partitioner to the segment count);
+  /// `world`'s Simulator is the coordinator loop. `cfg` must have passed
+  /// validate_config, and both must outlive the engine.
+  ShardedScenario(const ScenarioConfig& cfg, World& world);
   ~ShardedScenario();
 
   ShardedScenario(const ShardedScenario&) = delete;
   ShardedScenario& operator=(const ShardedScenario&) = delete;
 
-  /// Run the full configured duration (idempotent; runs once).
+  /// Run the full configured duration (once; Scenario::run guards it).
   void run();
   ScenarioReport report() const;
 
-  core::Simulator& coordinator() { return coord_sim_; }
-  mobility::MobilityManager& mobility() { return *mobility_; }
-  std::size_t vehicle_count() const { return vehicle_count_; }
-  const map::RoadGraph& road_graph() const { return *road_graph_; }
-
   int shards() const { return static_cast<int>(shards_.size()); }
   int threads() const { return threads_; }
-  const map::RegionPartition& partition() const { return partition_; }
   /// Owning shard of node `id`.
   int owner_of(net::NodeId id) const {
     return node_shard_[static_cast<std::size_t>(id)];
   }
   const std::vector<net::NodeId>& owned_ids(int shard) const;
+  const NodeStack& stack(int shard) const;
 
   /// Whole-run totals across coordinator + all shard loops.
   std::uint64_t events_dispatched() const;
@@ -109,29 +99,14 @@ class ShardedScenario {
   class Bridge;
   struct Shard;
 
-  void validate_config() const;
-  void build_shard(int index);
-  void update_density();
-  void schedule_density_updates();
-  void sample_reachability();
   void distribute_mailboxes();
   void run_shard_window(int shard);
-  void worker_main(int thread_index);
 
-  ScenarioConfig cfg_;
-  core::Simulator coord_sim_;
-  core::RngManager coord_rngs_;
-  std::shared_ptr<map::RoadGraph> road_graph_;
-  std::unique_ptr<map::SegmentIndex> segment_index_;
+  const ScenarioConfig& cfg_;
+  World& world_;  ///< its Simulator is the coordinator loop
   map::RegionPartition partition_;
-  std::unique_ptr<mobility::MobilityManager> mobility_;
-  mobility::GraphMobilityModel* graph_model_ = nullptr;
-  std::size_t vehicle_count_ = 0;
   std::vector<int> node_shard_;  ///< node id -> owning shard
   int threads_ = 1;
-
-  std::shared_ptr<map::SegmentDensityOracle> density_;
-  std::shared_ptr<routing::FerrySet> ferries_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   /// outbox_[src][dst]: written only by shard src's thread inside a window,
@@ -143,10 +118,6 @@ class ShardedScenario {
   core::SimTime window_end_{};
   bool final_window_ = false;
   bool stop_workers_ = false;
-
-  std::uint64_t reachable_samples_ = 0;
-  std::uint64_t total_samples_ = 0;
-  bool ran_ = false;
 };
 
 }  // namespace vanet::sim::sharded

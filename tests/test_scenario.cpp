@@ -360,22 +360,28 @@ TEST(Scenario, IncrementalDensityOracleIsDigestIdenticalToFullRescan) {
   // diverging count would change the report; equal digests prove the
   // incremental refresh (model-reported segments + ambiguity veto) matches
   // the full SegmentIndex rescan bit for bit — on the lattice and on the
-  // committed irregular town.
+  // committed irregular town, on the serial engine and on the sharded one
+  // (whose coordinator runs the same World refresh).
   for (const bool town : {false, true}) {
-    ScenarioConfig cfg = small_graph_scenario("car");
-    if (town) {
-      cfg.map.source = MapSource::kFile;
-      cfg.map.file = std::string{VANET_SOURCE_DIR} + "/maps/town.csv";
+    for (const int shards : {1, 3}) {
+      ScenarioConfig cfg = small_graph_scenario("car");
+      if (town) {
+        cfg.map.source = MapSource::kFile;
+        cfg.map.file = std::string{VANET_SOURCE_DIR} + "/maps/town.csv";
+      }
+      cfg.duration_s = 10.0;
+      cfg.shards = shards;
+      cfg.density_incremental = true;
+      Scenario incremental{cfg};
+      incremental.run();
+      cfg.density_incremental = false;
+      Scenario rescan{cfg};
+      rescan.run();
+      EXPECT_GT(incremental.report().originated, 0u);
+      EXPECT_EQ(report_digest(incremental.report()),
+                report_digest(rescan.report()))
+          << (town ? "town" : "lattice") << " shards=" << shards;
     }
-    cfg.duration_s = 10.0;
-    cfg.density_incremental = true;
-    Scenario incremental{cfg};
-    incremental.run();
-    cfg.density_incremental = false;
-    Scenario rescan{cfg};
-    rescan.run();
-    EXPECT_EQ(report_digest(incremental.report()), report_digest(rescan.report()))
-        << (town ? "town" : "lattice");
   }
 }
 

@@ -5,7 +5,9 @@
 //  - conservation: the sharded run originates exactly the packets the
 //    serial run does (the flow schedule is a pure function of the seed);
 //  - ownership: the shards partition the node id space;
-//  - config restrictions: unsupported combinations throw at construction.
+//  - config restrictions: unsupported combinations throw at construction;
+//  - one assembly path: the World-level accessors answer on sharded runs
+//    as on serial ones.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -211,6 +213,32 @@ TEST(ShardedScenario, ShardCountClampsToPartition) {
   ASSERT_TRUE(s.is_sharded());
   EXPECT_EQ(s.shard_count(), 4);  // a 6x6 lattice has plenty of segments
   EXPECT_EQ(s.shard_thread_count(), 4);
+}
+
+// Both engines build the same World, so the world-level accessors answer on
+// sharded runs too, and the flow list (one "traffic" stream on every stack)
+// is the serial run's.
+TEST(ShardedScenario, WorldAccessorsMatchTheSerialRun) {
+  ScenarioConfig cfg = town_config("greedy", 3);
+  cfg.shards = 3;
+  Scenario sharded{cfg};
+  ASSERT_TRUE(sharded.is_sharded());
+  ASSERT_NE(sharded.graph_model(), nullptr);
+  sharded.run();
+  cfg.shards = 1;
+  Scenario serial{cfg};
+  serial.run();
+  const auto endpoints = [](const Scenario& s) {
+    std::vector<std::pair<net::NodeId, net::NodeId>> out;
+    for (const auto& flow : s.traffic().flows()) {
+      out.emplace_back(flow.src, flow.dst);
+    }
+    return out;
+  };
+  EXPECT_FALSE(endpoints(serial).empty());
+  EXPECT_EQ(endpoints(sharded), endpoints(serial));
+  EXPECT_EQ(sharded.vehicle_count(), serial.vehicle_count());
+  EXPECT_EQ(&sharded.road_graph(), &sharded.graph_model()->graph());
 }
 
 }  // namespace
