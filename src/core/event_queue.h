@@ -37,6 +37,7 @@
 // close). Exhaustion fails loudly via VANET_ASSERT.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -140,6 +141,14 @@ class EventQueue {
     std::uint64_t slab_allocations = 0;   ///< 256-slot pool growth events
     std::uint64_t oversize_callbacks = 0; ///< closures that missed the SBO
     std::size_t peak_pending = 0;         ///< high-water heap depth
+
+    /// Fold another queue's stats in: growth events sum, the peak is the
+    /// higher of the two.
+    void merge_from(const AllocStats& o) {
+      slab_allocations += o.slab_allocations;
+      oversize_callbacks += o.oversize_callbacks;
+      peak_pending = std::max(peak_pending, o.peak_pending);
+    }
   };
   const AllocStats& alloc_stats() const { return stats_; }
 

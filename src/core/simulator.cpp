@@ -4,7 +4,6 @@ namespace vanet::core {
 
 void Simulator::run_until(SimTime end) {
   stopped_ = false;
-  abort_check_countdown_ = abort_check_every_;
   while (!stopped_ && !queue_.empty() && queue_.next_time() <= end) {
     queue_.run_next(now_);
     if (abort_check_ && --abort_check_countdown_ == 0) {
@@ -17,7 +16,6 @@ void Simulator::run_until(SimTime end) {
 
 void Simulator::run_before(SimTime end) {
   stopped_ = false;
-  abort_check_countdown_ = abort_check_every_;
   while (!stopped_ && !queue_.empty() && queue_.next_time() < end) {
     queue_.run_next(now_);
     if (abort_check_ && --abort_check_countdown_ == 0) {
@@ -30,7 +28,6 @@ void Simulator::run_before(SimTime end) {
 
 void Simulator::run() {
   stopped_ = false;
-  abort_check_countdown_ = abort_check_every_;
   while (!stopped_ && queue_.run_next(now_)) {
     if (abort_check_ && --abort_check_countdown_ == 0) {
       abort_check_countdown_ = abort_check_every_;

@@ -89,14 +89,23 @@ class Simulator {
   /// Request that the run loop stops after the current event.
   void stop() { stopped_ = true; }
 
-  /// Install a guard polled every `every` dispatched events during run loops;
-  /// it may throw (aborting the run) or call stop(). Used by the experiment
-  /// engine's watchdog (wall-clock timeout, event budget). Pass a null
-  /// function to remove. The check never runs mid-event, so model state stays
-  /// consistent at the throw point.
+  /// Install a guard polled every `every` dispatched events during run loops
+  /// (the count carries across run_until / run_before calls); it may throw
+  /// (aborting the run) or call stop(). Used by the experiment engine's
+  /// watchdog (wall-clock timeout, event budget). Pass a null function to
+  /// remove. The check never runs mid-event, so model state stays consistent
+  /// at the throw point.
   void set_abort_check(std::function<void()> fn, std::uint64_t every = 1024) {
     abort_check_ = std::move(fn);
     abort_check_every_ = every == 0 ? 1 : every;
+    abort_check_countdown_ = abort_check_every_;
+  }
+
+  /// Poll the installed guard now, if any. A loop driving this Simulator in
+  /// short steps (the sharded coordinator, between windows) calls it so the
+  /// guard also sees work dispatched on other loops.
+  void poll_abort_check() {
+    if (abort_check_) abort_check_();
   }
 
   std::uint64_t events_dispatched() const { return queue_.dispatched(); }

@@ -242,8 +242,7 @@ void Network::finish_transmission(NodeId id) {
   VANET_ASSERT(node.transmitting);
   node.transmitting = false;
   VANET_ASSERT(!node.queue.empty());
-  QueuedFrame& frame = node.queue.front();
-  const Packet packet = frame.packet;
+  const Packet packet = node.queue.front().packet;
 
   // Our channel record, stored at transmit time (a lookup by end time could
   // alias when two frames end at the same instant).
@@ -317,15 +316,24 @@ void Network::finish_transmission(NodeId id) {
     node.awaiting_verdict = true;
     return;
   }
+  settle_front(node, packet.rx == kBroadcastId || intended_received);
+}
+
+void Network::settle_front(NodeImpl& node, bool delivered) {
+  VANET_ASSERT(!node.queue.empty());
+  QueuedFrame& frame = node.queue.front();
   bool keep_frame = false;
-  if (packet.rx != kBroadcastId && !intended_received) {
+  if (!delivered) {
     if (frame.attempts < cfg_.unicast_retry_limit) {
       ++frame.attempts;
       ++counters_.unicast_retries;
       keep_frame = true;
     } else {
       ++counters_.unicast_failures;
-      if (node.on_unicast_fail) node.on_unicast_fail(packet);
+      // A copy: the handler may send from this node while the frame is
+      // still queued.
+      const Packet failed = frame.packet;
+      if (node.on_unicast_fail) node.on_unicast_fail(failed);
     }
   }
   if (!keep_frame) node.queue.pop_front();
@@ -375,24 +383,7 @@ void Network::complete_unicast(NodeId id, bool delivered) {
   // frame; the late verdict is dropped.
   if (!node.awaiting_verdict) return;
   node.awaiting_verdict = false;
-  VANET_ASSERT(!node.queue.empty());
-  QueuedFrame& frame = node.queue.front();
-  const Packet packet = frame.packet;
-  bool keep_frame = false;
-  if (!delivered) {
-    if (frame.attempts < cfg_.unicast_retry_limit) {
-      ++frame.attempts;
-      ++counters_.unicast_retries;
-      keep_frame = true;
-    } else {
-      ++counters_.unicast_failures;
-      if (node.on_unicast_fail) node.on_unicast_fail(packet);
-    }
-  }
-  if (!keep_frame) node.queue.pop_front();
-  if (!node.queue.empty() && !node.attempt_pending) {
-    schedule_attempt(node, cfg_.slot_time + random_backoff(rng_));
-  }
+  settle_front(node, delivered);
 }
 
 void Network::backbone_send(NodeId from_rsu, NodeId to_rsu, Packet p) {
@@ -425,33 +416,8 @@ std::vector<NodeId> Network::nodes_within(NodeId id, double range) const {
 
 bool Network::reachable(NodeId from, NodeId to, double range) const {
   if (churn_active_ && (!impl(from).up || !impl(to).up)) return false;
-  if (from == to) return true;
-  std::vector<bool> visited(nodes_.size(), false);
-  std::vector<NodeId> frontier{from};
-  visited[from] = true;
-  const bool backbone_live = !backbone_.empty();
-  while (!frontier.empty()) {
-    const NodeId u = frontier.back();
-    frontier.pop_back();
-    auto visit = [&](NodeId v) {
-      if (churn_active_ && !nodes_[v].up) return false;  // down: no relay
-      if (v == to) return true;
-      if (!visited[v]) {
-        visited[v] = true;
-        frontier.push_back(v);
-      }
-      return false;
-    };
-    for (NodeId v : nodes_within(u, range)) {
-      if (visit(v)) return true;
-    }
-    if (backbone_live && impl(u).rsu) {
-      for (NodeId v : backbone_) {
-        if (v != u && visit(v)) return true;
-      }
-    }
-  }
-  return false;
+  const std::vector<std::uint32_t> labels = reachability_components(range);
+  return labels.at(from) == labels.at(to);
 }
 
 std::vector<std::uint32_t> Network::reachability_components(double range) const {

@@ -65,6 +65,25 @@ struct NetCounters {
   std::uint64_t data_frames_sent = 0;
   std::uint64_t control_frames_sent = 0;
   std::uint64_t hello_frames_sent = 0;
+
+  /// Field-wise sum: how the report folds the stacks of a sharded run.
+  NetCounters& operator+=(const NetCounters& o) {
+    frames_enqueued += o.frames_enqueued;
+    frames_sent += o.frames_sent;
+    frames_dropped_queue += o.frames_dropped_queue;
+    frames_dropped_down += o.frames_dropped_down;
+    receptions_ok += o.receptions_ok;
+    receptions_collided += o.receptions_collided;
+    receptions_faded += o.receptions_faded;
+    unicast_retries += o.unicast_retries;
+    unicast_failures += o.unicast_failures;
+    backbone_frames += o.backbone_frames;
+    bytes_sent += o.bytes_sent;
+    data_frames_sent += o.data_frames_sent;
+    control_frames_sent += o.control_frames_sent;
+    hello_frames_sent += o.hello_frames_sent;
+    return *this;
+  }
 };
 
 class Network {
@@ -128,16 +147,16 @@ class Network {
   /// Used by scenario wiring and oracle baselines, not by protocols.
   std::vector<NodeId> nodes_within(NodeId id, double range) const;
 
-  /// Ground-truth multi-hop reachability: BFS over the `range`-disk graph
-  /// (RSU backbone links included). Oracle for experiment calibration — a
-  /// routing protocol can never deliver between nodes this returns false for.
-  bool reachable(NodeId from, NodeId to, double range) const;
-
-  /// Connected-component label per node of the `range`-disk graph (backbone
-  /// links included): `labels[a] == labels[b]` iff `reachable(a, b, range)`.
-  /// Builds one CSR adjacency and labels all components in a single
-  /// traversal — the batch form of `reachable` for many-pair queries.
+  /// Connected-component label per node of the `range`-disk graph (RSU
+  /// backbone links included; a down node is a singleton). Builds one CSR
+  /// adjacency and labels all components in a single traversal. The
+  /// ground-truth oracle for experiment calibration: a routing protocol can
+  /// never deliver between nodes with different labels.
   std::vector<std::uint32_t> reachability_components(double range) const;
+
+  /// One-pair form of reachability_components: same label, and neither
+  /// endpoint down.
+  bool reachable(NodeId from, NodeId to, double range) const;
 
   const NetCounters& counters() const { return counters_; }
   core::Simulator& simulator() { return sim_; }
@@ -191,6 +210,10 @@ class Network {
   void schedule_attempt(NodeImpl& node, core::SimTime delay);
   void attempt_transmission(NodeId id);
   void finish_transmission(NodeId id);
+  /// Settle the frame at `node`'s queue front once its outcome is known:
+  /// retry or fail an undelivered unicast, pop the frame otherwise, and
+  /// schedule the next attempt.
+  void settle_front(NodeImpl& node, bool delivered);
   core::SimTime frame_duration(const Packet& p) const;
   core::SimTime random_backoff(core::Rng& rng) const;
   void count_sent(const Packet& p);

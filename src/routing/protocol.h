@@ -71,6 +71,26 @@ struct ProtocolEvents {
   /// |estimated link ETX - analytic ETX at the true distance|, sampled per
   /// live link at each beacon (etx protocol only).
   analysis::RunningStats etx_link_abs_error;
+
+  /// Fold `o` in: counters sum, stats merge (order-sensitive in floating
+  /// point, so callers merge in a fixed order).
+  void merge_from(const ProtocolEvents& o) {
+    discoveries_started += o.discoveries_started;
+    routes_established += o.routes_established;
+    route_breaks += o.route_breaks;
+    preemptive_rebuilds += o.preemptive_rebuilds;
+    data_forwarded += o.data_forwarded;
+    data_dropped_no_route += o.data_dropped_no_route;
+    data_dropped_ttl += o.data_dropped_ttl;
+    rreq_at_target += o.rreq_at_target;
+    rrep_sent += o.rrep_sent;
+    rrep_relayed += o.rrep_relayed;
+    rrep_stranded += o.rrep_stranded;
+    predicted_route_lifetime.merge(o.predicted_route_lifetime);
+    observed_route_lifetime.merge(o.observed_route_lifetime);
+    suppressed_rebroadcasts += o.suppressed_rebroadcasts;
+    etx_link_abs_error.merge(o.etx_link_abs_error);
+  }
 };
 
 struct ProtocolContext {

@@ -194,7 +194,6 @@ std::vector<Field> build_fields() {
     };
     fields.push_back(std::move(f));
   }
-  num("scenario.shard_window_ms", REF(shard_window_ms));
   {
     // `map.source` precedes `mobility` so the parse order lets an explicit
     // mobility line re-settle the alias (see the header comment).

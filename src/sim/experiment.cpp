@@ -30,9 +30,13 @@ struct GuardAbort : std::runtime_error {
 /// sim state. Failure messages mention only configured parameters (never
 /// elapsed time or event counts), so captured failures are byte-identical
 /// across jobs=1 and jobs=N.
+///
+/// The check sits on the scenario's own loop (the coordinator on sharded
+/// runs, which also polls it between windows) and counts events across every
+/// loop of the run, so the budget means the same on both engines and does
+/// not depend on the shard worker count.
 void arm_watchdog(Scenario& scenario, const RunGuards& guards) {
   if (guards.max_events == 0 && guards.timeout_s <= 0.0) return;
-  core::Simulator& sim = scenario.simulator();
   // NOLINT-vanet(wall-clock): watchdog deadline; aborts runaway runs, never feeds sim state
   using WallClock = std::chrono::steady_clock;
   const auto deadline =
@@ -40,8 +44,9 @@ void arm_watchdog(Scenario& scenario, const RunGuards& guards) {
                              std::chrono::duration<double>(guards.timeout_s));
   const std::uint64_t max_events = guards.max_events;
   const double timeout_s = guards.timeout_s;
-  sim.set_abort_check([&sim, deadline, max_events, timeout_s] {
-    if (max_events > 0 && sim.events_dispatched() >= max_events) {
+  scenario.simulator().set_abort_check([&scenario, deadline, max_events,
+                                        timeout_s] {
+    if (max_events > 0 && scenario.events_dispatched() >= max_events) {
       throw GuardAbort{
           "event-budget",
           "event budget exceeded: max_events=" + std::to_string(max_events)};

@@ -55,6 +55,7 @@ class NodeStack {
   /// Starts hello beacons, the owned protocols and the traffic source.
   void start();
 
+  core::Simulator& simulator() { return sim_; }
   net::Network& network() { return *net_; }
   /// Null for hello-less protocols.
   net::HelloService* hello() { return hello_.get(); }

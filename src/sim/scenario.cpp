@@ -30,6 +30,13 @@ void append_field(std::string& out, const char* name, std::uint64_t v) {
   out += '\n';
 }
 
+void append_field(std::string& out, const char* name, const std::string& v) {
+  out += name;
+  out += '=';
+  out += v;
+  out += '\n';
+}
+
 /// Roadside units placed evenly over the deployment area.
 std::vector<core::Vec2> rsu_positions(const ScenarioConfig& cfg,
                                       const map::RoadGraph& graph) {
@@ -74,47 +81,9 @@ std::vector<core::Vec2> rsu_positions(const ScenarioConfig& cfg,
 
 std::string canonical_report_string(const ScenarioReport& r) {
   std::string out;
-  out += "protocol=" + r.protocol + "\n";
-  append_field(out, "pdr", r.pdr);
-  append_field(out, "delay_ms_mean", r.delay_ms_mean);
-  append_field(out, "delay_ms_p95_hint", r.delay_ms_p95_hint);
-  append_field(out, "hops_mean", r.hops_mean);
-  append_field(out, "originated", r.originated);
-  append_field(out, "delivered", r.delivered);
-  append_field(out, "control_frames", r.control_frames);
-  append_field(out, "hello_frames", r.hello_frames);
-  append_field(out, "data_frames", r.data_frames);
-  append_field(out, "backbone_frames", r.backbone_frames);
-  append_field(out, "receptions_ok", r.receptions_ok);
-  append_field(out, "control_per_delivered", r.control_per_delivered);
-  append_field(out, "collision_fraction", r.collision_fraction);
-  append_field(out, "reachable_fraction", r.reachable_fraction);
-  append_field(out, "route_breaks", r.route_breaks);
-  append_field(out, "discoveries", r.discoveries);
-  append_field(out, "preemptive_rebuilds", r.preemptive_rebuilds);
-  append_field(out, "predicted_lifetime_mean_s", r.predicted_lifetime_mean_s);
-  append_field(out, "observed_lifetime_mean_s", r.observed_lifetime_mean_s);
-  // Fault fields only exist in the canonical form of faulted runs: a report
-  // with fault_enabled=false serializes byte-identically to a pre-fault
-  // build, which is what keeps the historical golden digests valid.
-  if (r.fault_enabled) {
-    append_field(out, "faulted_originated", r.faulted_originated);
-    append_field(out, "faulted_delivered", r.faulted_delivered);
-    append_field(out, "pdr_under_fault", r.pdr_under_fault);
-    append_field(out, "node_outages", r.node_outages);
-    append_field(out, "node_restarts", r.node_restarts);
-    append_field(out, "segment_blocks", r.segment_blocks);
-    append_field(out, "frames_dropped_down", r.frames_dropped_down);
-    append_field(out, "recovery_latency_mean_s", r.recovery_latency_mean_s);
-  }
-  // Link-quality fields follow the same rule: only serialized when the etx
-  // protocol or a flood.suppression mode ran, so every pre-existing digest
-  // stays byte-identical.
-  if (r.linkquality_enabled) {
-    append_field(out, "etx_link_error_mean", r.etx_link_error_mean);
-    append_field(out, "etx_link_samples", r.etx_link_samples);
-    append_field(out, "suppressed_rebroadcasts", r.suppressed_rebroadcasts);
-  }
+  r.fields([&out](const char* name, const auto& v) {
+    append_field(out, name, v);
+  });
   return out;
 }
 
@@ -174,14 +143,22 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   const bool sharded = resolve_shard_count(cfg_) > 1;
   if (sharded) sharded::ShardedScenario::validate_config(cfg_);
   world_ = std::make_unique<World>(cfg_, sim_, rngs_);
+  loops_.push_back(&sim_);
   if (sharded) {
     sharded_engine_ = std::make_unique<sharded::ShardedScenario>(cfg_, *world_);
+    shard_threads_ = sharded_engine_->threads();
+    for (int s = 0; s < sharded_engine_->shards(); ++s) {
+      NodeStack& stack = sharded_engine_->stack(s);
+      stacks_.push_back(&stack);
+      loops_.push_back(&stack.simulator());
+    }
     return;
   }
   NodeStack::Options opts;
   opts.rsus = rsu_positions(cfg_, *world_->road_graph());
   opts.snapshot = &world_->segment_snapshot();
   stack_ = std::make_unique<NodeStack>(cfg_, *world_, sim_, std::move(opts));
+  stacks_.push_back(stack_.get());
   // Disabled means *nothing* happens: the "fault" stream is never derived,
   // no event is scheduled and metrics keep their lean path — provably
   // bit-identical to a build without the fault subsystem.
@@ -198,25 +175,36 @@ Scenario::~Scenario() = default;
 void Scenario::run() {
   if (ran_) return;
   ran_ = true;
+  world_->mobility().start();
+  for (NodeStack* stack : stacks_) stack->start();
+  if (fault_plan_) fault_plan_->start();
+  // Every stack tracks every node's position and draws the same flow list,
+  // so sampling through the first reproduces the serial oracle.
+  world_->start_reachability(*stacks_.front());
   if (sharded_engine_) {
     sharded_engine_->run();
-    return;
+  } else {
+    sim_.run_until(core::SimTime::seconds(cfg_.duration_s));
   }
-  world_->mobility().start();
-  stack_->start();
-  if (fault_plan_) fault_plan_->start();
-  world_->start_reachability(*stack_);
-  sim_.run_until(core::SimTime::seconds(cfg_.duration_s));
 }
 
-ScenarioReport assemble_report(const ScenarioConfig& cfg,
-                               const Metrics& metrics,
-                               const net::NetCounters& c,
-                               const routing::ProtocolEvents& events,
-                               std::uint64_t reachable_samples,
-                               std::uint64_t total_samples) {
+ScenarioReport Scenario::report() const {
+  Metrics metrics;
+  net::NetCounters c{};
+  routing::ProtocolEvents events;
+  analysis::RunningStats recovery_latency;
+  // Stack order is fixed, so merged RunningStats (order-sensitive in
+  // floating point) are as deterministic as everything else; merging one
+  // stack into empty collectors copies it exactly.
+  for (NodeStack* stack : stacks_) {
+    metrics.merge_from(stack->metrics());
+    c += stack->network().counters();
+    events.merge_from(stack->events());
+    recovery_latency.merge(stack->network().recovery_latency());
+  }
+
   ScenarioReport r;
-  r.protocol = cfg.protocol;
+  r.protocol = cfg_.protocol;
   r.pdr = metrics.pdr();
   r.delay_ms_mean = metrics.delay_ms().mean();
   r.delay_ms_p95_hint =
@@ -240,53 +228,44 @@ ScenarioReport assemble_report(const ScenarioConfig& cfg,
           ? static_cast<double>(c.receptions_collided) /
                 static_cast<double>(attempted)
           : 0.0;
+  const std::uint64_t samples = world_->total_samples();
   r.reachable_fraction =
-      total_samples > 0 ? static_cast<double>(reachable_samples) /
-                              static_cast<double>(total_samples)
-                        : 0.0;
+      samples > 0 ? static_cast<double>(world_->reachable_samples()) /
+                        static_cast<double>(samples)
+                  : 0.0;
   r.route_breaks = events.route_breaks;
   r.discoveries = events.discoveries_started;
   r.preemptive_rebuilds = events.preemptive_rebuilds;
   r.predicted_lifetime_mean_s = events.predicted_route_lifetime.mean();
   r.observed_lifetime_mean_s = events.observed_route_lifetime.mean();
-  if (cfg.protocol == "etx" ||
-      cfg.flood_suppression != routing::FloodSuppression::kNone) {
-    r.linkquality_enabled = true;
-    r.etx_link_error_mean = events.etx_link_abs_error.mean();
-    r.etx_link_samples = events.etx_link_abs_error.count();
-    r.suppressed_rebroadcasts = events.suppressed_rebroadcasts;
-  }
-  return r;
-}
 
-ScenarioReport Scenario::report() const {
-  if (sharded_engine_) return sharded_engine_->report();
-  const Metrics& metrics = stack_->metrics();
-  const net::Network& net = stack_->network();
-  ScenarioReport r =
-      assemble_report(cfg_, metrics, net.counters(), stack_->events(),
-                      world_->reachable_samples(), world_->total_samples());
   if (fault_plan_) {
-    r.fault_enabled = true;
+    FaultSection& f = r.fault.emplace();
     // Classify both sides of the delivery ledger by *send* time against the
     // completed fault timeline (see Metrics::set_fault_tracking).
     for (const core::SimTime t : metrics.origination_times()) {
-      if (fault_plan_->fault_active_at(t)) ++r.faulted_originated;
+      if (fault_plan_->fault_active_at(t)) ++f.faulted_originated;
     }
     for (const core::SimTime t : metrics.first_delivery_sent_times()) {
-      if (fault_plan_->fault_active_at(t)) ++r.faulted_delivered;
+      if (fault_plan_->fault_active_at(t)) ++f.faulted_delivered;
     }
-    r.pdr_under_fault =
-        r.faulted_originated > 0
-            ? static_cast<double>(r.faulted_delivered) /
-                  static_cast<double>(r.faulted_originated)
+    f.pdr_under_fault =
+        f.faulted_originated > 0
+            ? static_cast<double>(f.faulted_delivered) /
+                  static_cast<double>(f.faulted_originated)
             : 0.0;
     const FaultCounters& fc = fault_plan_->counters();
-    r.node_outages = fc.node_outages;
-    r.node_restarts = fc.node_restarts;
-    r.segment_blocks = fc.segment_blocks;
-    r.frames_dropped_down = net.counters().frames_dropped_down;
-    r.recovery_latency_mean_s = net.recovery_latency().mean();
+    f.node_outages = fc.node_outages;
+    f.node_restarts = fc.node_restarts;
+    f.segment_blocks = fc.segment_blocks;
+    f.frames_dropped_down = c.frames_dropped_down;
+    f.recovery_latency_mean_s = recovery_latency.mean();
+  }
+  if (cfg_.protocol == "etx" ||
+      cfg_.flood_suppression != routing::FloodSuppression::kNone) {
+    r.linkquality = LinkQualitySection{events.etx_link_abs_error.mean(),
+                                       events.etx_link_abs_error.count(),
+                                       events.suppressed_rebroadcasts};
   }
   return r;
 }
@@ -296,27 +275,20 @@ NodeStack& Scenario::serial_stack() {
   return *stack_;
 }
 
-const CbrTraffic& Scenario::traffic() const {
-  return sharded_engine_ ? sharded_engine_->stack(0).traffic()
-                         : stack_->traffic();
-}
-
-int Scenario::shard_count() const {
-  return sharded_engine_ ? sharded_engine_->shards() : 1;
-}
-
-int Scenario::shard_thread_count() const {
-  return sharded_engine_ ? sharded_engine_->threads() : 1;
-}
+const CbrTraffic& Scenario::traffic() const { return stacks_.front()->traffic(); }
 
 std::uint64_t Scenario::events_dispatched() const {
-  return sharded_engine_ ? sharded_engine_->events_dispatched()
-                         : sim_.events_dispatched();
+  std::uint64_t total = 0;
+  for (const core::Simulator* loop : loops_) total += loop->events_dispatched();
+  return total;
 }
 
 core::EventQueue::AllocStats Scenario::scheduler_stats() const {
-  return sharded_engine_ ? sharded_engine_->scheduler_stats()
-                         : sim_.scheduler_stats();
+  core::EventQueue::AllocStats total;
+  for (const core::Simulator* loop : loops_) {
+    total.merge_from(loop->scheduler_stats());
+  }
+  return total;
 }
 
 }  // namespace vanet::sim

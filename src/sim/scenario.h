@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,12 +74,6 @@ struct ScenarioConfig {
   /// model. Any thread count produces bit-identical results by construction
   /// (the digest-equivalence tests pin threads=1 against threads=K).
   int shard_threads = 0;
-  /// Conservative lookahead window in milliseconds
-  /// (`scenario.shard_window_ms`): shards run [T, T+W) independently and
-  /// exchange cross-cut receptions at window barriers, so a cross-shard
-  /// frame resolves at most W late. Must stay well under the MAC's 50 ms
-  /// channel-memory horizon; values outside (0, 20] are rejected.
-  double shard_window_ms = 1.0;
 
   MapSpec map;                      ///< road topology source (see src/map/)
   MobilityKind mobility = MobilityKind::kHighway;
@@ -147,6 +142,44 @@ struct ScenarioConfig {
   TrafficConfig traffic;
 };
 
+/// Fault-injection results (`fault.enabled=true` runs only).
+struct FaultSection {
+  std::uint64_t faulted_originated = 0;  ///< sent while a fault was active
+  std::uint64_t faulted_delivered = 0;   ///< of those, delivered
+  double pdr_under_fault = 0.0;
+  std::uint64_t node_outages = 0;
+  std::uint64_t node_restarts = 0;
+  std::uint64_t segment_blocks = 0;
+  std::uint64_t frames_dropped_down = 0;
+  double recovery_latency_mean_s = 0.0;  ///< restart -> first decoded frame
+
+  template <typename F>
+  void fields(F&& f) const {
+    f("faulted_originated", faulted_originated);
+    f("faulted_delivered", faulted_delivered);
+    f("pdr_under_fault", pdr_under_fault);
+    f("node_outages", node_outages);
+    f("node_restarts", node_restarts);
+    f("segment_blocks", segment_blocks);
+    f("frames_dropped_down", frames_dropped_down);
+    f("recovery_latency_mean_s", recovery_latency_mean_s);
+  }
+};
+
+/// Link-quality family results (protocol=etx, or a flood.suppression mode).
+struct LinkQualitySection {
+  double etx_link_error_mean = 0.0;     ///< mean |estimated - analytic| ETX
+  std::uint64_t etx_link_samples = 0;   ///< links sampled for the error stat
+  std::uint64_t suppressed_rebroadcasts = 0;
+
+  template <typename F>
+  void fields(F&& f) const {
+    f("etx_link_error_mean", etx_link_error_mean);
+    f("etx_link_samples", etx_link_samples);
+    f("suppressed_rebroadcasts", suppressed_rebroadcasts);
+  }
+};
+
 /// Aggregated result of one run.
 struct ScenarioReport {
   std::string protocol;
@@ -173,27 +206,44 @@ struct ScenarioReport {
   double predicted_lifetime_mean_s = 0.0;
   double observed_lifetime_mean_s = 0.0;
 
-  /// Fault-injection results. Appended to the canonical string — and hence
-  /// the digest — only when fault_enabled, so every pre-fault digest stays
-  /// byte-identical with the fault layer compiled in and disabled.
-  bool fault_enabled = false;
-  std::uint64_t faulted_originated = 0;  ///< sent while a fault was active
-  std::uint64_t faulted_delivered = 0;   ///< of those, delivered
-  double pdr_under_fault = 0.0;
-  std::uint64_t node_outages = 0;
-  std::uint64_t node_restarts = 0;
-  std::uint64_t segment_blocks = 0;
-  std::uint64_t frames_dropped_down = 0;
-  double recovery_latency_mean_s = 0.0;  ///< restart -> first decoded frame
+  /// Optional sections: present only on runs with the feature on. An absent
+  /// section contributes nothing to the canonical string, so adding one
+  /// leaves every digest of a run without it byte-identical.
+  std::optional<FaultSection> fault;
+  std::optional<LinkQualitySection> linkquality;
 
-  /// Link-quality family results. Appended to the canonical string — and
-  /// hence the digest — only when linkquality_enabled (protocol=etx or a
-  /// flood.suppression mode active), so pre-existing digests stay
-  /// byte-identical.
-  bool linkquality_enabled = false;
-  double etx_link_error_mean = 0.0;     ///< mean |estimated - analytic| ETX
-  std::uint64_t etx_link_samples = 0;   ///< links sampled for the error stat
-  std::uint64_t suppressed_rebroadcasts = 0;
+  /// Calls `f(name, value)` for every canonical field in order: the core
+  /// block, then each present section.
+  template <typename F>
+  void fields(F&& f) const {
+    f("protocol", protocol);
+    f("pdr", pdr);
+    f("delay_ms_mean", delay_ms_mean);
+    f("delay_ms_p95_hint", delay_ms_p95_hint);
+    f("hops_mean", hops_mean);
+    f("originated", originated);
+    f("delivered", delivered);
+    f("control_frames", control_frames);
+    f("hello_frames", hello_frames);
+    f("data_frames", data_frames);
+    f("backbone_frames", backbone_frames);
+    f("receptions_ok", receptions_ok);
+    f("control_per_delivered", control_per_delivered);
+    f("collision_fraction", collision_fraction);
+    f("reachable_fraction", reachable_fraction);
+    f("route_breaks", route_breaks);
+    f("discoveries", discoveries);
+    f("preemptive_rebuilds", preemptive_rebuilds);
+    f("predicted_lifetime_mean_s", predicted_lifetime_mean_s);
+    f("observed_lifetime_mean_s", observed_lifetime_mean_s);
+    present_fields(f, fault, linkquality);
+  }
+
+ private:
+  template <typename F, typename... Sections>
+  static void present_fields(F& f, const std::optional<Sections>&... sections) {
+    ((sections ? sections->fields(f) : void()), ...);
+  }
 };
 
 /// Canonical, lossless textual form of a report: every field on one
@@ -217,15 +267,6 @@ int resolve_shard_count(const ScenarioConfig& cfg);
 /// The road topology `cfg` describes: the imported edge-list map, or the
 /// generated lattice / highway line the synthetic mobility models drive on.
 std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg);
-/// Assemble the protocol-independent report core from (possibly merged)
-/// collectors. The serial report() adds the fault block on top; sharded runs
-/// never have one (faults are excluded by the shard restrictions).
-ScenarioReport assemble_report(const ScenarioConfig& cfg,
-                               const Metrics& metrics,
-                               const net::NetCounters& counters,
-                               const routing::ProtocolEvents& events,
-                               std::uint64_t reachable_samples,
-                               std::uint64_t total_samples);
 
 /// One run. Both engines assemble it the same way: a World (map, mobility,
 /// density, reachability) on the scenario's Simulator, plus NodeStacks —
@@ -240,6 +281,8 @@ class Scenario {
   /// Run the full configured duration (idempotent; runs once).
   void run();
 
+  /// The run's report, folded over every stack in stack order (one stack on
+  /// the serial engine, so the fold is the identity there).
   ScenarioReport report() const;
 
   /// True when this run executes on the sharded engine (effective shards
@@ -247,12 +290,12 @@ class Scenario {
   /// assert against it.
   bool is_sharded() const { return sharded_engine_ != nullptr; }
   /// Effective shard / worker-thread counts (1/1 on the serial path).
-  int shard_count() const;
-  int shard_thread_count() const;
+  int shard_count() const { return static_cast<int>(stacks_.size()); }
+  int shard_thread_count() const { return shard_threads_; }
   /// Events dispatched across every event loop of the run (the one serial
-  /// loop, or coordinator + all shard loops), and the summed scheduler
-  /// allocation telemetry. The timed runner reads these instead of poking
-  /// simulator() so both paths report whole-run totals.
+  /// loop, or coordinator + all shard loops), and the merged scheduler
+  /// allocation telemetry. The timed runner and the RunGuards watchdog read
+  /// these instead of poking simulator() so both paths see whole-run totals.
   std::uint64_t events_dispatched() const;
   core::EventQueue::AllocStats scheduler_stats() const;
   /// The sharded engine (null on the serial path); tests reach through this
@@ -272,8 +315,8 @@ class Scenario {
   routing::RoutingProtocol& protocol_at(net::NodeId id) {
     return serial_stack().protocol_at(id);
   }
-  /// The flows of the run: every shard draws the identical list, so sharded
-  /// runs answer with shard 0's.
+  /// The flows of the run: every stack draws the identical list, so this is
+  /// the first stack's.
   const CbrTraffic& traffic() const;
   /// Null unless `fault.enabled=true`.
   FaultPlan* fault_plan() { return fault_plan_.get(); }
@@ -303,6 +346,11 @@ class Scenario {
   std::unique_ptr<FaultPlan> fault_plan_;
   /// Non-null iff the effective shard count is > 1.
   std::unique_ptr<sharded::ShardedScenario> sharded_engine_;
+  /// Every stack of the run in shard order (the one serial stack, or the K
+  /// shard stacks), and every event loop (sim_, then the shard loops).
+  std::vector<NodeStack*> stacks_;
+  std::vector<const core::Simulator*> loops_;
+  int shard_threads_ = 1;
   bool ran_ = false;
 
   /// The serial engine's stack; asserts on sharded runs.

@@ -9,46 +9,6 @@
 
 namespace vanet::sim::sharded {
 
-namespace {
-
-void merge_events(routing::ProtocolEvents& into,
-                  const routing::ProtocolEvents& from) {
-  into.discoveries_started += from.discoveries_started;
-  into.routes_established += from.routes_established;
-  into.route_breaks += from.route_breaks;
-  into.preemptive_rebuilds += from.preemptive_rebuilds;
-  into.data_forwarded += from.data_forwarded;
-  into.data_dropped_no_route += from.data_dropped_no_route;
-  into.data_dropped_ttl += from.data_dropped_ttl;
-  into.rreq_at_target += from.rreq_at_target;
-  into.rrep_sent += from.rrep_sent;
-  into.rrep_relayed += from.rrep_relayed;
-  into.rrep_stranded += from.rrep_stranded;
-  into.predicted_route_lifetime.merge(from.predicted_route_lifetime);
-  into.observed_route_lifetime.merge(from.observed_route_lifetime);
-  into.suppressed_rebroadcasts += from.suppressed_rebroadcasts;
-  into.etx_link_abs_error.merge(from.etx_link_abs_error);
-}
-
-void add_counters(net::NetCounters& into, const net::NetCounters& from) {
-  into.frames_enqueued += from.frames_enqueued;
-  into.frames_sent += from.frames_sent;
-  into.frames_dropped_queue += from.frames_dropped_queue;
-  into.frames_dropped_down += from.frames_dropped_down;
-  into.receptions_ok += from.receptions_ok;
-  into.receptions_collided += from.receptions_collided;
-  into.receptions_faded += from.receptions_faded;
-  into.unicast_retries += from.unicast_retries;
-  into.unicast_failures += from.unicast_failures;
-  into.backbone_frames += from.backbone_frames;
-  into.bytes_sent += from.bytes_sent;
-  into.data_frames_sent += from.data_frames_sent;
-  into.control_frames_sent += from.control_frames_sent;
-  into.hello_frames_sent += from.hello_frames_sent;
-}
-
-}  // namespace
-
 /// All per-shard state: a loop of its own and a NodeStack over the owned
 /// nodes. The stack's Network mirrors every vehicle's position (the shared
 /// MobilityManager refreshes all K mirrors in the coordinator phase).
@@ -120,17 +80,6 @@ void ShardedScenario::validate_config(const ScenarioConfig& cfg) {
     throw std::invalid_argument(
         "scenario.shards > 1 does not support fault injection");
   }
-  if (!(cfg.shard_window_ms > 0.0) || cfg.shard_window_ms > 20.0) {
-    throw std::invalid_argument(
-        "scenario.shard_window_ms must be in (0, 20] — the conservative "
-        "window has to stay far below the MAC's 50 ms channel-memory "
-        "horizon");
-  }
-  if (core::SimTime::seconds(cfg.shard_window_ms / 1000.0) <=
-      core::SimTime{}) {
-    throw std::invalid_argument(
-        "scenario.shard_window_ms rounds to zero simulated time");
-  }
   if (cfg.shard_threads < 0) {
     throw std::invalid_argument("scenario.shard_threads must be >= 0");
   }
@@ -170,10 +119,10 @@ ShardedScenario::ShardedScenario(const ScenarioConfig& cfg, World& world)
 ShardedScenario::~ShardedScenario() = default;
 
 const std::vector<net::NodeId>& ShardedScenario::owned_ids(int shard) const {
-  return stack(shard).owned();
+  return shards_.at(static_cast<std::size_t>(shard))->stack->owned();
 }
 
-const NodeStack& ShardedScenario::stack(int shard) const {
+NodeStack& ShardedScenario::stack(int shard) {
   return *shards_.at(static_cast<std::size_t>(shard))->stack;
 }
 
@@ -217,15 +166,7 @@ void ShardedScenario::run_shard_window(int shard) {
 }
 
 void ShardedScenario::run() {
-  world_.mobility().start();
-  for (auto& shp : shards_) shp->stack->start();
-  // Geometry is identical on every shard's Network mirror, and shard 0's
-  // flow list is every shard's (same "traffic" stream), so sampling through
-  // shard 0 reproduces the serial oracle.
-  world_.start_reachability(*shards_.front()->stack);
   const core::SimTime end = core::SimTime::seconds(cfg_.duration_s);
-  const core::SimTime window =
-      core::SimTime::seconds(cfg_.shard_window_ms / 1000.0);
 
   // Persistent worker pool. Thread t drives shards t, t+T, t+2T, ... in
   // increasing order, so any thread count executes the same shard sequences
@@ -244,65 +185,48 @@ void ShardedScenario::run() {
       }
     });
   }
+  // Workers are parked at start_gate whenever the coordinator runs, so this
+  // is safe both at the end and while an exception unwinds (a joinable
+  // std::thread left in scope would terminate the process).
+  auto release_workers = [&] {
+    stop_workers_ = true;
+    start_gate.arrive_and_wait();
+    for (std::thread& w : workers) w.join();
+  };
 
   core::Simulator& coord = world_.simulator();
   core::SimTime now{};
-  while (true) {
-    // Serial coordinator phase: mobility ticks (which refresh every shard's
-    // position mirror through the Network tick listeners), density refresh
-    // and reachability samples all run while the workers are parked.
-    coord.run_until(now);
-    // Conservative window edge: never past the next coordinator event, so
-    // global state is frozen from every shard's point of view inside a
-    // window — the core lookahead argument.
-    core::SimTime next = std::min(now + window, coord.next_event_time());
-    next = std::min(next, end);
-    window_end_ = next;
-    final_window_ = next >= end;
-    distribute_mailboxes();
-    start_gate.arrive_and_wait();   // publish window, release workers
-    finish_gate.arrive_and_wait();  // all shards reached the window edge
-    now = next;
-    if (final_window_) break;
+  try {
+    while (true) {
+      // Serial coordinator phase: mobility ticks (which refresh every
+      // shard's position mirror through the Network tick listeners), density
+      // refresh and reachability samples all run while the workers are
+      // parked.
+      coord.run_until(now);
+      // Conservative window edge: never past the next coordinator event, so
+      // global state is frozen from every shard's point of view inside a
+      // window — the core lookahead argument.
+      core::SimTime next = std::min(now + kWindow, coord.next_event_time());
+      next = std::min(next, end);
+      window_end_ = next;
+      final_window_ = next >= end;
+      distribute_mailboxes();
+      start_gate.arrive_and_wait();   // publish window, release workers
+      finish_gate.arrive_and_wait();  // all shards reached the window edge
+      // The run guards count events on every loop; the shard loops only
+      // advance inside windows, so the coordinator polls between them.
+      coord.poll_abort_check();
+      now = next;
+      if (final_window_) break;
+    }
+  } catch (...) {
+    release_workers();
+    throw;
   }
-  stop_workers_ = true;
-  start_gate.arrive_and_wait();
-  for (std::thread& w : workers) w.join();
+  release_workers();
   // Coordinator events at exactly the end instant (final mobility tick on
   // round durations) still run, as they would under the serial engine.
   coord.run_until(end);
-}
-
-ScenarioReport ShardedScenario::report() const {
-  Metrics merged;
-  net::NetCounters counters{};
-  routing::ProtocolEvents events;
-  // Shard order 0..K-1 is fixed, so merged RunningStats (order-sensitive in
-  // floating point) are as deterministic as everything else.
-  for (const auto& shp : shards_) {
-    merged.merge_from(shp->stack->metrics());
-    add_counters(counters, shp->stack->network().counters());
-    merge_events(events, shp->stack->events());
-  }
-  return assemble_report(cfg_, merged, counters, events,
-                         world_.reachable_samples(), world_.total_samples());
-}
-
-std::uint64_t ShardedScenario::events_dispatched() const {
-  std::uint64_t total = world_.simulator().events_dispatched();
-  for (const auto& shp : shards_) total += shp->sim.events_dispatched();
-  return total;
-}
-
-core::EventQueue::AllocStats ShardedScenario::scheduler_stats() const {
-  core::EventQueue::AllocStats total = world_.simulator().scheduler_stats();
-  for (const auto& shp : shards_) {
-    const core::EventQueue::AllocStats& s = shp->sim.scheduler_stats();
-    total.slab_allocations += s.slab_allocations;
-    total.oversize_callbacks += s.oversize_callbacks;
-    total.peak_pending = std::max(total.peak_pending, s.peak_pending);
-  }
-  return total;
 }
 
 std::uint64_t ShardedScenario::handoff_receptions() const {

@@ -4,8 +4,7 @@
 // engine partitions the road graph into K contiguous regions
 // (map::partition_regions), gives each region its own Simulator and a
 // NodeStack over the nodes it owns, and advances the shards in lockstep
-// windows of `scenario.shard_window_ms` under a conservative-lookahead
-// contract:
+// windows of kWindow (1 ms) under a conservative-lookahead contract:
 //
 //  - Ownership: every node belongs to exactly one shard — the region owning
 //    the road segment nearest its *initial* position. The owner drives the
@@ -16,8 +15,8 @@
 //  - Windows: all shards execute events in [T, T+W) independently, then
 //    barrier. Cross-shard receptions discovered inside a window are posted
 //    through net::ShardBridge into per-(src,dst) mailboxes and resolved by
-//    the receiver's shard at the next barrier — at most W late. W must stay
-//    far below the MAC's 50 ms channel-memory horizon (enforced: W <= 20 ms).
+//    the receiver's shard at the next barrier — at most W late. W stays
+//    far below the MAC's 50 ms channel-memory horizon.
 //  - The coordinator loop — the Scenario's Simulator, which the World
 //    schedules on — owns global services (mobility ticks, the density
 //    oracle refresh, reachability sampling) and only runs between windows;
@@ -75,9 +74,18 @@ class ShardedScenario {
   ShardedScenario(const ShardedScenario&) = delete;
   ShardedScenario& operator=(const ShardedScenario&) = delete;
 
-  /// Run the full configured duration (once; Scenario::run guards it).
+  /// Conservative lookahead window: shards run [T, T+W) independently and
+  /// exchange cross-cut receptions at the barriers, so a cross-shard frame
+  /// resolves at most W late.
+  static constexpr core::SimTime kWindow = core::SimTime::millis(1);
+
+  /// Drive the coordinator and shard loops through the configured duration
+  /// in windows. Scenario::run starts mobility, the stacks and reachability
+  /// first, and guards against a second call. An abort check installed on
+  /// the coordinator (RunGuards) is also polled after every window, with
+  /// the workers parked; if it throws, the workers are released and joined
+  /// before the exception leaves.
   void run();
-  ScenarioReport report() const;
 
   int shards() const { return static_cast<int>(shards_.size()); }
   int threads() const { return threads_; }
@@ -86,11 +94,8 @@ class ShardedScenario {
     return node_shard_[static_cast<std::size_t>(id)];
   }
   const std::vector<net::NodeId>& owned_ids(int shard) const;
-  const NodeStack& stack(int shard) const;
+  NodeStack& stack(int shard);
 
-  /// Whole-run totals across coordinator + all shard loops.
-  std::uint64_t events_dispatched() const;
-  core::EventQueue::AllocStats scheduler_stats() const;
   /// Cross-shard traffic telemetry (receptions handed off / verdicts sent).
   std::uint64_t handoff_receptions() const;
   std::uint64_t handoff_verdicts() const;

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace vanet::sim {
 namespace {
@@ -175,6 +176,66 @@ TEST(EngineGuards, WatchdogDoesNotDisturbHealthyRuns) {
   ExperimentEngine{1}.run(plain, plain_sink);
   ExperimentEngine{1}.run(guarded, guarded_sink);
   EXPECT_EQ(plain_out.str(), guarded_out.str());
+}
+
+// The 6x6 lattice of the sharded engine tests, on three shards.
+ExperimentSpec sharded_lattice_spec(int shard_threads) {
+  ExperimentSpec spec;
+  spec.base.duration_s = 12.0;
+  spec.base.mobility = MobilityKind::kManhattan;
+  spec.base.manhattan.streets_x = 6;
+  spec.base.manhattan.streets_y = 6;
+  spec.base.vehicles = 48;
+  spec.base.traffic.flows = 8;
+  spec.base.traffic.start_s = 2.0;
+  spec.base.traffic.stop_s = 10.0;
+  spec.base.shards = 3;
+  spec.base.shard_threads = shard_threads;
+  spec.protocols = {"greedy"};
+  spec.seeds = {1};
+  return spec;
+}
+
+// The budget counts events on every loop of a sharded run (~3.6k here), and
+// the coordinator polls it between windows, so it fires as on the serial
+// engine — with the same record for any worker count, and with the workers
+// joined before the failure is captured.
+TEST(EngineGuards, EventBudgetAbortsShardedRunsForAnyThreadCount) {
+  std::vector<FailureRecord> failures;
+  for (const int threads : {1, 3}) {
+    ExperimentSpec spec = sharded_lattice_spec(threads);
+    spec.guards.max_events = 2000;
+    const ExperimentResult result = ExperimentEngine{1}.run(spec);
+    ASSERT_EQ(result.failures.size(), 1u) << "shard_threads=" << threads;
+    EXPECT_EQ(result.failures[0].kind, "event-budget");
+    EXPECT_EQ(result.failures[0].error,
+              "event budget exceeded: max_events=2000");
+    failures.push_back(result.failures[0]);
+  }
+  EXPECT_EQ(failures[0].error, failures[1].error);
+  EXPECT_EQ(failures[0].kind, failures[1].kind);
+}
+
+TEST(EngineGuards, TimeoutAbortsShardedRuns) {
+  ExperimentSpec spec = sharded_lattice_spec(3);
+  spec.guards.timeout_s = 1e-9;
+  const ExperimentResult result = ExperimentEngine{1}.run(spec);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0].kind, "timeout");
+}
+
+// A budget the run stays under leaves a sharded run untouched.
+TEST(EngineGuards, UnspentBudgetLeavesShardedRunsHealthy) {
+  ExperimentSpec spec = sharded_lattice_spec(3);
+  const ExperimentResult plain = ExperimentEngine{1}.run(spec);
+  spec.guards.max_events = 1000000;
+  const ExperimentResult guarded = ExperimentEngine{1}.run(spec);
+  ASSERT_TRUE(guarded.failures.empty());
+  ASSERT_EQ(plain.cells.size(), 1u);
+  ASSERT_EQ(guarded.cells.size(), 1u);
+  ASSERT_EQ(guarded.cells[0].agg.runs.size(), 1u);
+  EXPECT_EQ(report_digest(plain.cells[0].agg.runs[0]),
+            report_digest(guarded.cells[0].agg.runs[0]));
 }
 
 }  // namespace

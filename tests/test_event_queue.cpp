@@ -342,6 +342,20 @@ TEST(Simulator, StopHaltsRun) {
   EXPECT_EQ(sim.events_pending(), 1u);
 }
 
+// A loop stepped one window at a time (the sharded coordinator) must still
+// reach its guard: the countdown spans run_until / run_before calls.
+TEST(Simulator, AbortCheckCountdownSpansRunCalls) {
+  Simulator sim;
+  for (int i = 0; i < 10; ++i) sim.schedule(SimTime::millis(i), [] {});
+  int polls = 0;
+  sim.set_abort_check([&] { ++polls; }, 4);
+  for (int i = 0; i < 10; ++i) sim.run_before(SimTime::millis(i + 1));
+  EXPECT_EQ(sim.events_dispatched(), 10u);
+  EXPECT_EQ(polls, 2);
+  sim.poll_abort_check();
+  EXPECT_EQ(polls, 3);
+}
+
 TEST(Simulator, DispatchCounter) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.schedule(SimTime::millis(i), [] {});

@@ -187,18 +187,6 @@ TEST(ShardedScenario, RejectsConfigsOutsideTheShardContract) {
   }
   {
     ScenarioConfig cfg = lattice_config("aodv", 1);
-    cfg.shards = 2;
-    cfg.shard_window_ms = 0.0;
-    EXPECT_THROW(Scenario{cfg}, std::invalid_argument);
-  }
-  {
-    ScenarioConfig cfg = lattice_config("aodv", 1);
-    cfg.shards = 2;
-    cfg.shard_window_ms = 25.0;
-    EXPECT_THROW(Scenario{cfg}, std::invalid_argument);
-  }
-  {
-    ScenarioConfig cfg = lattice_config("aodv", 1);
     cfg.shards = -1;
     EXPECT_THROW(Scenario{cfg}, std::invalid_argument);
   }
